@@ -24,48 +24,22 @@ use std::time::Instant;
 use lpomp::prelude::*;
 use lpomp_bench::class_from_args;
 use lpomp_core::cached_profile;
-
-/// Minimal JSON string escaping for the identifiers we emit.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+use lpomp_prof::escape_json;
 
 fn main() {
     let class = class_from_args();
-    let spec = SweepSpec::figure4(class);
-    // The sweep's own grid, flattened here so each cell can be timed on
+    // The sweep's own cells, run here one by one so each can be timed on
     // the worker that runs it.
-    let grid: Vec<(lpomp_machine::MachineConfig, AppKind, PagePolicy, usize)> = spec
-        .machines
-        .iter()
-        .flat_map(|machine| {
-            let (apps, policies, threads) = (&spec.apps, &spec.policies, &spec.threads);
-            apps.iter().flat_map(move |&app| {
-                policies.iter().flat_map(move |&policy| {
-                    threads
-                        .iter()
-                        .filter(|&&t| t <= machine.contexts())
-                        .map(move |&t| (machine.clone(), app, policy, t))
-                })
-            })
-        })
-        .collect();
+    let grid = SweepSpec::figure4(class).cells();
 
     let workers = default_workers();
     let mut sweeps = Vec::new();
     let mut all_records = Vec::new();
     for &w in &[1, workers] {
         let t0 = Instant::now();
-        let timed = par_map(&grid, w, |_, (machine, app, policy, threads)| {
+        let timed = par_map(&grid, w, |_, (app, builder)| {
             let r0 = Instant::now();
-            let rec = run_sim(
-                *app,
-                class,
-                machine.clone(),
-                *policy,
-                *threads,
-                RunOpts::default(),
-            );
+            let rec = run_system(*app, class, builder, RunOpts::default());
             (rec, r0.elapsed().as_secs_f64())
         });
         let total = t0.elapsed().as_secs_f64();
@@ -82,9 +56,10 @@ fn main() {
     // the per-config numbers measure steady-state evaluation.
     let t0 = Instant::now();
     let mut seen = std::collections::BTreeSet::new();
-    for (_, app, _, threads) in &grid {
-        if seen.insert((app.name(), *threads)) {
-            cached_profile(*app, class, *threads);
+    for (app, builder) in &grid {
+        let threads = builder.config().threads;
+        if seen.insert((app.name(), threads)) {
+            cached_profile(*app, class, threads);
         }
     }
     let capture_total = t0.elapsed().as_secs_f64();
@@ -92,17 +67,11 @@ fn main() {
     let t0 = Instant::now();
     let analytic: Vec<(RunRecord, f64)> = grid
         .iter()
-        .map(|(machine, app, policy, threads)| {
+        .map(|(app, builder)| {
             let r0 = Instant::now();
-            let rec = run_backend(
-                BackendKind::Analytic,
-                *app,
-                class,
-                machine.clone(),
-                *policy,
-                *threads,
-                RunOpts::default(),
-            );
+            let rec = BackendKind::Analytic
+                .backend()
+                .run(*app, class, builder, RunOpts::default());
             (rec, r0.elapsed().as_secs_f64())
         })
         .collect();
@@ -152,16 +121,15 @@ fn main() {
     ));
     out.push_str("  \"configs\": [\n");
     let (_, _, timed) = &sweeps[1];
-    for (i, ((machine, app, policy, threads), (rec, host_s))) in
-        grid.iter().zip(timed.iter()).enumerate()
-    {
+    for (i, ((app, builder), (rec, host_s))) in grid.iter().zip(timed.iter()).enumerate() {
         let (ana_rec, ana_s) = &analytic[i];
+        let cfg = builder.config();
         let head = format!(
             "\"machine\": \"{}\", \"app\": \"{}\", \"policy\": \"{}\", \"threads\": {}",
-            esc(machine.name),
-            esc(app.name()),
-            esc(policy.label()),
-            threads,
+            escape_json(cfg.machine.name),
+            escape_json(app.name()),
+            escape_json(cfg.policy.label()),
+            cfg.threads,
         );
         out.push_str(&format!(
             "    {{{head}, \"backend\": \"cycle\", \"host_seconds\": {:.3}, \"sim_seconds\": {:.6}}},\n",

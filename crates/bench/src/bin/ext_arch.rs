@@ -58,7 +58,10 @@ fn main() {
             opts: RunOpts::default(),
             backend,
         };
-        let Some(results) = cli.execute(&spec, sink.as_ref()) else {
+        let Some(results) = cli
+            .execute(&spec.grid(), sink.as_ref())
+            .map(SweepResults::from)
+        else {
             continue; // shard mode: this slice is in the store
         };
         println!(

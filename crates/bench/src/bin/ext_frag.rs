@@ -46,7 +46,9 @@ struct Aged {
 }
 
 /// One cell of the E5 grid: the unaged preallocated baseline or an aged
-/// scenario row.
+/// scenario row. The baseline is stored as a plain record: its config is
+/// a Figure-4 grid point, so the two binaries share that cell in a
+/// common store.
 enum Cell {
     Prealloc(Box<RunRecord>),
     Aged(Aged),
@@ -55,9 +57,7 @@ enum Cell {
 impl GridCell for Cell {
     fn to_store_json(&self) -> String {
         match self {
-            Cell::Prealloc(r) => {
-                format!("{{\"kind\":\"prealloc\",\"record\":{}}}", r.to_store_json())
-            }
+            Cell::Prealloc(r) => r.to_store_json(),
             Cell::Aged(a) => format!(
                 "{{\"kind\":\"aged\",\"label\":\"{}\",\"severity\":{},\"frag_index\":{},\
                  \"run1\":{},\"run2\":{},\"misses2\":{},\"blocked\":{},\"collapsed\":{},\
@@ -79,12 +79,11 @@ impl GridCell for Cell {
     fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self> {
         let num = |k: &str| j.get(k).and_then(Json::as_num);
         let int = |k: &str| num(k).map(|n| n as u64);
-        match j.get("kind").and_then(Json::as_str)? {
-            "prealloc" => Some(Cell::Prealloc(Box::new(RunRecord::from_store_json(
-                j.get("record")?,
-                key,
+        match j.get("kind").and_then(Json::as_str) {
+            None => Some(Cell::Prealloc(Box::new(RunRecord::from_store_json(
+                j, key,
             )?))),
-            "aged" => {
+            Some("aged") => {
                 let label = match j.get("label").and_then(Json::as_str)? {
                     "one-shot THP" => "one-shot THP",
                     "daemon+compaction" => "daemon+compaction",
@@ -122,10 +121,9 @@ fn aged_system(builder: &SystemBuilder, kernel: &mut dyn Kernel, severity: f64) 
 }
 
 /// Scenario 2: one-shot stop-the-world collapse on an aged heap.
-fn one_shot(app: AppKind, class: Class, severity: f64) -> Aged {
+fn one_shot(b: &SystemBuilder, app: AppKind, class: Class, severity: f64) -> Aged {
     let mut kernel = app.build(class);
-    let b = System::builder(opteron_2x2()).threads(4).thp();
-    let (mut sys, frag_index) = aged_system(&b, kernel.as_mut(), severity);
+    let (mut sys, frag_index) = aged_system(b, kernel.as_mut(), severity);
     kernel.run(&mut sys.team);
     let run1 = sys.team.elapsed_seconds();
     let report = sys.promote_heap().unwrap();
@@ -146,10 +144,9 @@ fn one_shot(app: AppKind, class: Class, severity: f64) -> Aged {
 }
 
 /// Scenario 3: the incremental khugepaged daemon with compaction.
-fn daemon(app: AppKind, class: Class, severity: f64) -> Aged {
+fn daemon(b: &SystemBuilder, app: AppKind, class: Class, severity: f64) -> Aged {
     let mut kernel = app.build(class);
-    let b = System::builder(opteron_2x2()).threads(4).thp_daemon(true);
-    let (mut sys, frag_index) = aged_system(&b, kernel.as_mut(), severity);
+    let (mut sys, frag_index) = aged_system(b, kernel.as_mut(), severity);
     kernel.run(&mut sys.team);
     let run1 = sys.team.elapsed_seconds();
     let agg1 = sys.team.aggregate_counters();
@@ -193,42 +190,48 @@ fn main() {
         jobs.push(Job::OneShot(s));
         jobs.push(Job::Daemon(s));
     }
-    // The typed key axes cover (machine, app, class, policy, threads);
-    // the aging scenario rides in the variant descriptor.
-    let keys: Vec<StoreKey> = jobs
+    let builders: Vec<SystemBuilder> = jobs
         .iter()
         .map(|job| {
-            let (policy, variant) = match job {
-                Job::Prealloc => (PagePolicy::Large2M, "frag=prealloc".to_owned()),
-                Job::OneShot(s) => (PagePolicy::Small4K, format!("frag=oneshot:severity={s}")),
-                Job::Daemon(s) => (PagePolicy::Small4K, format!("frag=daemon:severity={s}")),
-            };
-            StoreKey::new(
-                &opteron_2x2(),
-                app,
-                class,
-                policy,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            )
-            .with_variant(&variant)
+            let b = System::builder(opteron_2x2()).threads(4);
+            match job {
+                Job::Prealloc => b.policy(PagePolicy::Large2M),
+                Job::OneShot(_) => b.thp(),
+                Job::Daemon(_) => b.thp_daemon(true),
+            }
         })
         .collect();
-    let grid = KeyedGrid::new(keys, |i, _key| match jobs[i] {
-        Job::Prealloc => Cell::Prealloc(Box::new(run_sim(
-            app,
-            class,
-            opteron_2x2(),
-            PagePolicy::Large2M,
-            4,
-            RunOpts::default(),
-        ))),
-        Job::OneShot(s) => Cell::Aged(one_shot(app, class, s)),
-        Job::Daemon(s) => Cell::Aged(daemon(app, class, s)),
+    // Each key comes from the builder its cell runs; the aged cells add
+    // the one input outside the config, the heap aged before the run.
+    let keys = jobs
+        .iter()
+        .zip(&builders)
+        .map(|(job, b)| {
+            let key = StoreKey::for_config(
+                app,
+                class,
+                b.config(),
+                RunOpts::default(),
+                BackendKind::CycleExact,
+            );
+            match job {
+                Job::Prealloc => key,
+                Job::OneShot(s) | Job::Daemon(s) => key.with_variant(&format!("aged:severity={s}")),
+            }
+        })
+        .collect();
+    let grid = KeyedGrid::new(keys, |i, _key| {
+        let b = &builders[i];
+        match jobs[i] {
+            Job::Prealloc => {
+                Cell::Prealloc(Box::new(run_system(app, class, b, RunOpts::default())))
+            }
+            Job::OneShot(s) => Cell::Aged(one_shot(b, app, class, s)),
+            Job::Daemon(s) => Cell::Aged(daemon(b, app, class, s)),
+        }
     });
     let sink = cli.sink();
-    let Some(cells) = cli.execute_keyed(&grid, sink.as_ref()) else {
+    let Some(cells) = cli.execute(&grid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store
     };
 

@@ -72,20 +72,26 @@ fn remote_pct(r: &RunRecord) -> String {
     }
 }
 
-/// The `MachineConfig` a cell's builder ends up with: `.numa()` writes
-/// the placement (and replication) into the machine itself, so those
-/// axes land in the typed key via the machine fingerprint.
-fn cell_machine(c: &Cfg) -> MachineConfig {
-    let mut m = opteron_2x2();
+/// The system a cell runs. Placement and page-table replication land in
+/// the machine via `.numa()`, the daemon and demand faulting in the
+/// config, so the cell's store key covers every axis.
+fn cell_builder(c: &Cfg) -> SystemBuilder {
+    let mut b = System::builder(opteron_2x2())
+        .policy(c.policy)
+        .threads(4)
+        .populate(PopulatePolicy::OnDemand);
     if let Some(p) = c.placement {
         let n = NumaConfig::opteron(p);
-        m.numa = Some(if c.replicate {
+        b = b.numa(if c.replicate {
             n.with_replicated_pt()
         } else {
             n
         });
     }
-    m
+    if c.daemon {
+        b = b.numa_daemon(NumaDaemonConfig::default());
+    }
+    b
 }
 
 fn main() {
@@ -122,36 +128,10 @@ fn main() {
             }
         }
     }
-    // The daemon and demand-faulting knobs live outside the typed key
-    // axes, so they ride in the variant descriptor.
-    let keys: Vec<StoreKey> = grid
-        .iter()
-        .map(|c| {
-            StoreKey::new(
-                &cell_machine(c),
-                c.app,
-                class,
-                c.policy,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            )
-            .with_variant(&format!("numa:daemon={},populate=ondemand", c.daemon))
-        })
-        .collect();
-    let kgrid = KeyedGrid::new(keys, |i, _key| {
-        let c = &grid[i];
-        let mut b = System::builder(cell_machine(c))
-            .policy(c.policy)
-            .threads(4)
-            .populate(PopulatePolicy::OnDemand);
-        if c.daemon {
-            b = b.numa_daemon(NumaDaemonConfig::default());
-        }
-        run_system(c.app, class, &b, RunOpts::default())
-    });
+    let cells = grid.iter().map(|c| (c.app, cell_builder(c))).collect();
+    let kgrid = KeyedGrid::systems(class, RunOpts::default(), BackendKind::CycleExact, cells);
     let sink = cli.sink();
-    let Some(records) = cli.execute_keyed(&kgrid, sink.as_ref()) else {
+    let Some(records) = cli.execute(&kgrid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store
     };
     let find = |cfg: Cfg| -> &RunRecord {

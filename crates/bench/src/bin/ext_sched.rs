@@ -90,25 +90,6 @@ impl Sched {
         }
     }
 
-    /// Canonical descriptor for the store key ([`StoreKey::with_schedule`]).
-    /// `Static` is the kernel default — no override, no marker.
-    fn descriptor(self) -> Option<String> {
-        let d = |wfp: bool, pfw: bool| {
-            format!(
-                "hier:chunk={CHUNK}:rb=2:wfp={}:pfw={}",
-                wfp as u8, pfw as u8
-            )
-        };
-        match self {
-            Sched::Static => None,
-            Sched::Queue => Some(format!("dyn:chunk={CHUNK}")),
-            Sched::Blind => Some(format!("steal:chunk={CHUNK}:blind")),
-            Sched::Hier => Some(d(true, true)),
-            Sched::HierNoWfp => Some(d(false, true)),
-            Sched::HierNoPfw => Some(d(true, false)),
-        }
-    }
-
     fn apply(self, b: SystemBuilder) -> SystemBuilder {
         let steal = |b: SystemBuilder, pol: StealPolicy| {
             b.schedule(Schedule::Hierarchical { chunk: CHUNK })
@@ -210,22 +191,23 @@ impl GridCell for Row {
     }
 }
 
-fn cell_machine() -> MachineConfig {
-    let mut m = opteron_2x2();
-    m.numa = Some(NumaConfig::opteron(NumaPlacement::FirstTouch));
-    m
-}
-
-fn run_cell(c: &Cfg, class: Class) -> Row {
-    let mut kernel = Skew::new(class);
-    let mut b = System::builder(cell_machine())
+/// The system a cell runs: every knob — placement, page size, demand
+/// faulting, the daemon, the schedule and its steal policy — is a
+/// builder setting, so the cell's store key covers it.
+fn cell_builder(c: &Cfg) -> SystemBuilder {
+    let mut b = System::builder(opteron_2x2())
+        .numa(NumaConfig::opteron(NumaPlacement::FirstTouch))
         .policy(c.policy)
         .threads(4)
         .populate(PopulatePolicy::OnDemand);
     if c.daemon {
         b = b.numa_daemon(NumaDaemonConfig::default());
     }
-    b = c.sched.apply(b);
+    c.sched.apply(b)
+}
+
+fn run_cell(b: &SystemBuilder, class: Class) -> Row {
+    let mut kernel = Skew::new(class);
     let mut sys = b
         .build(&mut kernel)
         .unwrap_or_else(|e| panic!("SKEW {class} system build failed: {e}"));
@@ -283,33 +265,24 @@ fn main() {
         }
     }
     // SKEW has no AppKind slot, so the typed app axis is a placeholder
-    // and the workload rides in the variant; the schedule knobs land in
-    // the key via the canonical descriptor.
-    let keys: Vec<StoreKey> = grid
+    // and the workload rides in the variant.
+    let builders: Vec<SystemBuilder> = grid.iter().map(cell_builder).collect();
+    let keys = builders
         .iter()
-        .map(|c| {
-            let k = StoreKey::new(
-                &cell_machine(),
+        .map(|b| {
+            StoreKey::for_config(
                 AppKind::Cg,
                 class,
-                c.policy,
-                4,
+                b.config(),
                 RunOpts::default(),
                 BackendKind::CycleExact,
             )
-            .with_variant(&format!(
-                "sched:app=skew,daemon={},populate=ondemand",
-                c.daemon
-            ));
-            match c.sched.descriptor() {
-                Some(d) => k.with_schedule(&d),
-                None => k,
-            }
+            .with_variant("app=skew")
         })
         .collect();
-    let kgrid = KeyedGrid::new(keys, |i, _key| run_cell(&grid[i], class));
+    let kgrid = KeyedGrid::new(keys, |i, _key| run_cell(&builders[i], class));
     let sink = cli.sink();
-    let Some(rows) = cli.execute_keyed(&kgrid, sink.as_ref()) else {
+    let Some(rows) = cli.execute(&kgrid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store
     };
     for (c, r) in grid.iter().zip(&rows) {

@@ -36,7 +36,10 @@ fn main() {
         opts: RunOpts::default(),
         backend: BackendKind::CycleExact,
     };
-    let Some(results) = cli.execute(&spec, sink.as_ref()) else {
+    let Some(results) = cli
+        .execute(&spec.grid(), sink.as_ref())
+        .map(SweepResults::from)
+    else {
         return; // shard mode: this slice is in the store; nothing to render
     };
     let mut t = TextTable::new(vec![

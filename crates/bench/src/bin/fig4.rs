@@ -32,7 +32,10 @@ fn main() {
     };
     println!("Figure 4: scalability with 4KB vs 2MB pages (class {class}{tag})\n");
     let spec = SweepSpec::figure4(class).with_backend(backend);
-    let Some(results) = cli.execute(&spec, sink.as_ref()) else {
+    let Some(results) = cli
+        .execute(&spec.grid(), sink.as_ref())
+        .map(SweepResults::from)
+    else {
         return; // shard mode: this slice is in the store; nothing to render
     };
     for machine in [opteron_2x2(), xeon_2x2_ht()] {

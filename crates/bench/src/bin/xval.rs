@@ -29,9 +29,9 @@ fn main() {
     let sink = cli.sink();
     println!("Cross-validation: analytic backend vs cycle engine, Figure 4 grid (class {class})\n");
     let spec = SweepSpec::figure4(class);
-    let exact = cli.execute(&spec, sink.as_ref());
+    let exact = cli.execute(&spec.grid(), sink.as_ref());
     let fast = cli.execute(
-        &spec.clone().with_backend(BackendKind::Analytic),
+        &spec.clone().with_backend(BackendKind::Analytic).grid(),
         sink.as_ref(),
     );
     let (Some(exact), Some(fast)) = (exact, fast) else {
@@ -52,7 +52,7 @@ fn main() {
     ]);
     let mut worst_time = (0.0f64, String::new());
     let mut worst_dtlb = (0.0f64, String::new());
-    for (e, a) in exact.records().iter().zip(fast.records()) {
+    for (e, a) in exact.iter().zip(&fast) {
         assert!(
             e.app == a.app
                 && e.machine == a.machine

@@ -23,7 +23,7 @@
 
 use lpomp_core::{
     default_workers, run_sim, BackendKind, GridCell, JsonlSink, KeyedGrid, PagePolicy, RunOpts,
-    RunRecord, RunStore, Shard, SweepResults, SweepSpec,
+    RunRecord, RunStore, Shard,
 };
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
@@ -87,18 +87,17 @@ pub fn backend_from_args() -> BackendKind {
     BackendKind::CycleExact
 }
 
-/// The sweep-store flags shared by the `SweepSpec`-shaped binaries
-/// (`fig3`, `fig4`, `fig5`, `xval`):
+/// The sweep-store flags shared by every grid binary (`fig3`, `fig4`,
+/// `fig5`, `xval`, `ext_arch`, `ext_frag`, `ext_numa`, `ext_sched`):
 ///
 /// * `--store DIR` — run incrementally against the content-addressed
-///   [`RunStore`] at `DIR`: cached configs replay from disk, misses run
-///   the engine and are persisted (hit/miss counts go to stderr);
+///   [`RunStore`] at `DIR`: cached cells replay from disk, misses run
+///   and are persisted (stderr reports `N hits, M misses / K cells`);
 /// * `--shard i/n` — run only this process's slice of the grid into the
 ///   shared store and write a coverage manifest (requires `--store`);
 /// * `--merge n` — assemble a previously sharded sweep from the store,
 ///   validating coverage and key collisions (requires `--store`);
-/// * `--jsonl FILE` — stream one JSON record line per configuration as
-///   it completes.
+/// * `--jsonl FILE` — stream one JSON line per cell as it completes.
 ///
 /// Both `--flag value` and `--flag=value` spellings are accepted.
 #[derive(Clone, Debug, Default)]
@@ -182,79 +181,15 @@ impl SweepCli {
         }
     }
 
-    /// Run `spec` the way the flags ask: merge, shard, incremental, or a
-    /// plain in-memory sweep. Returns `None` in shard mode — the grid
-    /// slice and its manifest are on disk, and the caller has no full
-    /// results to render — and the results otherwise. Failures print an
-    /// error and exit nonzero (2 for usage, 1 for store/merge errors).
-    pub fn execute(&self, spec: &SweepSpec, sink: Option<&JsonlSink>) -> Option<SweepResults> {
-        let store = self.store.as_ref().map(|dir| {
-            RunStore::open(dir).unwrap_or_else(|e| {
-                eprintln!("error: could not open store {}: {e}", dir.display());
-                std::process::exit(1)
-            })
-        });
-        if let Some(count) = self.merge {
-            let results = spec
-                .merge_shards(store.as_ref().expect("validated at parse"), count)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1)
-                });
-            if let Some(sink) = sink {
-                for rec in results.records() {
-                    sink.emit(rec, true);
-                }
-            }
-            eprintln!(
-                "merged {} records from {count} shards of sweep {}",
-                results.records().len(),
-                spec.sweep_id()
-            );
-            return Some(results);
-        }
-        if let Some(shard) = self.shard {
-            let store = store.as_ref().expect("validated at parse");
-            let manifest = spec
-                .run_shard(shard, store, default_workers(), sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: shard {shard} failed: {e}");
-                    std::process::exit(1)
-                });
-            eprintln!(
-                "shard {shard} of sweep {} complete ({} configs); after all {} shards, \
-                 rerun with `--store {} --merge {}`",
-                manifest.sweep,
-                manifest.entries.len(),
-                shard.count,
-                store.dir().display(),
-                shard.count
-            );
-            return None;
-        }
-        if let Some(store) = store {
-            let inc = spec
-                .run_incremental_with(&store, default_workers(), sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: incremental sweep failed: {e}");
-                    std::process::exit(1)
-                });
-            return Some(inc.results);
-        }
-        let results = spec.run();
-        if let Some(sink) = sink {
-            for rec in results.records() {
-                sink.emit(rec, false);
-            }
-        }
-        Some(results)
-    }
-
-    /// [`execute`](SweepCli::execute) for a [`KeyedGrid`] — the same
-    /// merge / shard / incremental / plain dispatch for binaries whose
-    /// grids are not `SweepSpec`-shaped (`ext_frag`, `ext_numa`).
-    /// Returns `None` in shard mode, the cells in key order otherwise.
-    pub fn execute_keyed<T: GridCell>(
+    /// Run `grid` the way the flags ask: merge, shard, incremental, or a
+    /// plain in-memory run. A [`SweepSpec`](lpomp_core::SweepSpec) passes
+    /// its [`grid`](lpomp_core::SweepSpec::grid); the extension binaries
+    /// pass their own.
+    /// Returns `None` in shard mode — the grid slice and its manifest are
+    /// on disk, and the caller has no full results to render — and the
+    /// cells in key order otherwise. Failures print an error and exit
+    /// nonzero (2 for usage, 1 for store/merge errors).
+    pub fn execute<T: GridCell>(
         &self,
         grid: &KeyedGrid<'_, T>,
         sink: Option<&JsonlSink>,
@@ -274,7 +209,7 @@ impl SweepCli {
                 });
             if let Some(sink) = sink {
                 for cell in &cells {
-                    sink.emit_line(&cell.to_store_json(), true);
+                    sink.emit(cell, true);
                 }
             }
             eprintln!(
@@ -315,7 +250,7 @@ impl SweepCli {
         let cells = grid.run_all(default_workers());
         if let Some(sink) = sink {
             for cell in &cells {
-                sink.emit_line(&cell.to_store_json(), false);
+                sink.emit(cell, false);
             }
         }
         Some(cells)

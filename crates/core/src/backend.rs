@@ -363,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn analytic_with_schedule_override_falls_back_to_cycle() {
+    fn analytic_falls_back_to_cycle_on_a_schedule_override() {
         use lpomp_runtime::Schedule;
         let builder = SystemBuilder::new(lpomp_machine::opteron_2x2())
             .policy(PagePolicy::Small4K)

@@ -68,8 +68,8 @@ pub use lpomp_prof::ProfileSpec;
 pub use lpomp_vm::{Arch, MMArch};
 pub use parallel::{default_workers, par_map};
 pub use policy::{PagePolicy, PopulatePolicy};
-pub use store::{sweep_id, JsonlSink, RunStore, Shard, ShardManifest, StoreKey};
-pub use sweep::{GridCell, IncrementalSweep, KeyedGrid, SweepResults, SweepSpec};
+pub use store::{sweep_id, GridCell, JsonlSink, RunStore, Shard, ShardManifest, StoreKey};
+pub use sweep::{KeyedGrid, SweepResults, SweepSpec};
 pub use system::{
     MultiRunReport, MultiSystem, SetupStats, System, SystemBuilder, SystemConfig, TenancyConfig,
     TenantReport, TenantSpec, CODE_BASE, DEFAULT_TIMESLICE,

@@ -1,49 +1,51 @@
-//! Content-addressed, on-disk store of sweep [`RunRecord`]s — the
-//! serving-scale result cache behind [`SweepSpec::run_incremental`].
+//! Content-addressed, on-disk store of grid cells — the result cache
+//! behind [`KeyedGrid`]'s incremental, sharded and merged runs.
 //!
-//! Every grid point of a sweep is a pure function of its configuration:
-//! `(machine config, page policy, app, class, threads, run opts,
-//! backend, engine version)` fully determines the [`RunRecord`] the
-//! engine produces. The [`RunStore`] exploits that by addressing records
-//! with a [`StoreKey`] — a stable 128-bit hash of a canonical
-//! *fingerprint* string spelling out every one of those inputs — so an
+//! Every cell of a sweep is a pure function of its configuration: the
+//! app, class, whole [`SystemConfig`], run options, backend and engine
+//! version fully determine the [`RunRecord`] the engine produces. The
+//! [`RunStore`] exploits that by addressing cells with a [`StoreKey`] —
+//! a stable 128-bit hash of a canonical *fingerprint* string spelling
+//! out every one of those inputs ([`StoreKey::for_config`]) — so an
 //! unchanged configuration is a file read instead of a simulation, and
-//! *any* change (a TLB geometry, a cost-model constant behind
-//! [`lpomp_prof::ENGINE_VERSION`], the backend, the verify flag) changes
-//! the key and forces a re-run. Loads re-validate the stored fingerprint
-//! against the requested one, so even a full 128-bit hash collision (or
-//! a renamed file) degrades to a cache miss, never a wrong record.
+//! *any* change (a builder knob, a TLB geometry, a cost-model constant
+//! behind [`lpomp_prof::ENGINE_VERSION`], the backend, the verify flag)
+//! changes the key and forces a re-run. Loads re-validate the stored
+//! fingerprint against the requested one, so even a full 128-bit hash
+//! collision (or a renamed file) degrades to a cache miss, never a
+//! wrong record.
 //!
-//! Three layers build on the store:
+//! Three layers of [`KeyedGrid`] build on the store:
 //!
-//! * **incremental sweeps** — [`SweepSpec::run_incremental`] consults
-//!   the store per key, re-runs only the misses, and merges cached and
-//!   fresh records into a [`SweepResults`] byte-identical to a cold run;
-//! * **sharded execution** — [`SweepSpec::run_shard`] runs the
+//! * **incremental runs** — [`KeyedGrid::run_incremental`] consults the
+//!   store per key, re-runs only the misses, and merges cached and fresh
+//!   cells into a result byte-identical to a cold run;
+//! * **sharded execution** — [`KeyedGrid::run_shard`] runs the
 //!   `index`-th of [`Shard::count`] interleaved slices of the grid into
 //!   a shared store and writes a per-shard [manifest](ShardManifest);
-//!   [`SweepSpec::merge_shards`] validates that the manifests cover the
+//!   [`KeyedGrid::merge_shards`] validates that the manifests cover the
 //!   whole grid exactly once (and that no key collided) before
-//!   assembling the merged results;
+//!   assembling the merged cells;
 //! * **JSON-lines streaming** — a [`JsonlSink`] receives one
-//!   self-describing record line per configuration *as it completes*,
-//!   so long sweeps are observable before they finish.
+//!   self-describing line per cell *as it completes*, so long sweeps are
+//!   observable before they finish.
 //!
-//! Records carrying profiler attachments (`regions`/`trace`) are not
-//! cached — sweeps never produce them, and the store refuses to persist
-//! what it cannot round-trip byte-identically.
+//! One rule holds on every write path: a cell that would not replay
+//! whole ([`GridCell::storable`] is false — a [`RunRecord`] carrying
+//! profiler attachments) is never written.
 //!
-//! [`SweepSpec::run_incremental`]: crate::SweepSpec::run_incremental
-//! [`SweepSpec::run_shard`]: crate::SweepSpec::run_shard
-//! [`SweepSpec::merge_shards`]: crate::SweepSpec::merge_shards
-//! [`SweepResults`]: crate::SweepResults
+//! [`KeyedGrid`]: crate::KeyedGrid
+//! [`KeyedGrid::run_incremental`]: crate::KeyedGrid::run_incremental
+//! [`KeyedGrid::run_shard`]: crate::KeyedGrid::run_shard
+//! [`KeyedGrid::merge_shards`]: crate::KeyedGrid::merge_shards
 
 use crate::backend::BackendKind;
 use crate::experiment::{RunOpts, RunRecord};
 use crate::policy::PagePolicy;
+use crate::system::{SystemBuilder, SystemConfig};
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
-use lpomp_prof::{parse_json, Counters, Event, Json, ENGINE_VERSION};
+use lpomp_prof::{escape_json, parse_json, Counters, Event, Json, ENGINE_VERSION};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -51,7 +53,7 @@ use std::sync::Mutex;
 
 /// Schema version of the store's own file layout (bumped independently
 /// of [`ENGINE_VERSION`], which tracks engine *semantics*).
-const STORE_FORMAT: u64 = 1;
+const STORE_FORMAT: u64 = 2;
 
 // ---------------------------------------------------------------------
 // Keys.
@@ -88,13 +90,47 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_2: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
 
 impl StoreKey {
-    /// Key for one grid configuration.
+    /// Key for one run of `app` at `class` on the system `cfg`
+    /// describes — the one key derivation every grid uses.
     ///
-    /// The fingerprint embeds the machine's full `Debug` rendering: every
-    /// field of [`MachineConfig`] (TLB and cache geometries, cost model,
-    /// NUMA layout, …) participates, and a *new* field invalidates old
-    /// keys automatically — deliberately conservative, because a silent
-    /// stale hit is the failure mode this store exists to eliminate.
+    /// The fingerprint embeds the config's full `Debug` rendering: every
+    /// field of [`SystemConfig`] (the machine's TLB and cache geometries,
+    /// cost model and NUMA layout, then policy, populate, threads,
+    /// quantum, daemons, profiling, tenancy, schedule and stealing)
+    /// participates, and a *new* field invalidates old keys
+    /// automatically — deliberately conservative, because a silent stale
+    /// hit is the failure mode this store exists to eliminate. No config
+    /// type holds a hash map, so the rendering is deterministic.
+    pub fn for_config(
+        app: AppKind,
+        class: Class,
+        cfg: &SystemConfig,
+        opts: RunOpts,
+        backend: BackendKind,
+    ) -> StoreKey {
+        let mut key = StoreKey {
+            hash: [0; 2],
+            fingerprint: format!(
+                "engine={ENGINE_VERSION};backend={};arch={};app={app};class={class};\
+                 verify={};config={cfg:?}",
+                backend.label(),
+                cfg.machine.arch().descriptor(),
+                opts.verify,
+            ),
+            app,
+            class,
+            machine: cfg.machine.name,
+            policy: cfg.policy,
+            threads: cfg.threads,
+            backend,
+        };
+        key.rehash();
+        key
+    }
+
+    /// Key for the paper's grid point: the default [`SystemBuilder`] on
+    /// `machine` with `policy` and `threads` set, through
+    /// [`Self::for_config`].
     pub fn new(
         machine: &MachineConfig,
         app: AppKind,
@@ -104,68 +140,19 @@ impl StoreKey {
         opts: RunOpts,
         backend: BackendKind,
     ) -> StoreKey {
-        let fingerprint = format!(
-            "engine={ENGINE_VERSION};backend={};arch={};app={app};class={class};\
-             threads={threads};policy={policy:?};verify={};machine={machine:?};tenancy=none",
-            backend.label(),
-            machine.arch().descriptor(),
-            opts.verify,
-        );
-        let hash = [
-            fnv1a64(FNV_OFFSET, fingerprint.as_bytes()),
-            fnv1a64(FNV_OFFSET_2, fingerprint.as_bytes()),
-        ];
-        StoreKey {
-            hash,
-            fingerprint,
-            app,
-            class,
-            machine: machine.name,
-            policy,
-            threads,
-            backend,
-        }
+        let builder = SystemBuilder::new(machine.clone())
+            .policy(policy)
+            .threads(threads);
+        Self::for_config(app, class, builder.config(), opts, backend)
     }
 
-    /// Key for the same configuration run as one tenant of a scheduled,
-    /// multi-tenant machine: replaces the `tenancy=none` marker with
-    /// `desc` (e.g. `"rr:slice=2000000:asid=tagged:n=4"`) and
-    /// re-addresses the key. Any change to the scheduler configuration
-    /// must land in `desc`, for the same reason the machine's full debug
-    /// rendering is in the base fingerprint.
-    ///
-    /// # Panics
-    /// Panics when a tenancy descriptor was already applied.
-    pub fn with_tenancy(mut self, desc: &str) -> StoreKey {
-        assert!(
-            self.fingerprint.contains(";tenancy=none"),
-            "tenancy descriptor applied twice"
-        );
-        self.fingerprint = self
-            .fingerprint
-            .replace(";tenancy=none", &format!(";tenancy={desc}"));
-        self.rehash();
-        self
-    }
-
-    /// Key for a *variant* of this configuration that the typed axes do
-    /// not capture — a fragmentation preconditioner, a NUMA placement
-    /// sweep cell, … Appends `;variant={desc}` to the fingerprint and
-    /// re-addresses the key. Composable: distinct descriptors give
-    /// distinct addresses.
+    /// Key for a *variant* of this configuration whose difference lives
+    /// outside the [`SystemConfig`] — a heap aged before the run, a
+    /// workload without an [`AppKind`] slot. Appends `;variant={desc}`
+    /// to the fingerprint and re-addresses the key. Composable: distinct
+    /// descriptors give distinct addresses.
     pub fn with_variant(mut self, desc: &str) -> StoreKey {
         let _ = write!(self.fingerprint, ";variant={desc}");
-        self.rehash();
-        self
-    }
-
-    /// Key for the same configuration run under a non-default loop
-    /// schedule (the E8 scheduler sweep's axis). Appends `;sched={desc}`
-    /// — e.g. `"hier:chunk=256:rb=2:wfp=1:pfw=1"` — and re-addresses the
-    /// key. The default-schedule key carries no marker, so every record
-    /// persisted before the scheduler existed keeps its address.
-    pub fn with_schedule(mut self, desc: &str) -> StoreKey {
-        let _ = write!(self.fingerprint, ";sched={desc}");
         self.rehash();
         self
     }
@@ -194,46 +181,80 @@ impl StoreKey {
 }
 
 // ---------------------------------------------------------------------
-// Record (de)serialization.
+// Cells.
 
-/// Serialize the cacheable payload of a record (everything but the
-/// profiler attachments) as a single-line JSON object. `f64` fields use
-/// Rust's shortest-round-trip formatting, so parsing them back with
+/// A grid-cell payload the [`RunStore`] can persist and replay.
+/// [`RunRecord`] implements it with the store's native record encoding;
+/// experiment binaries whose cells are *not* run records (the
+/// fragmentation and scheduler tables) implement it over their own row
+/// structs.
+pub trait GridCell: Sized + Send {
+    /// Single-line JSON object encoding of the cell. `f64` fields must
+    /// use Rust's default (shortest-round-trip) formatting so the decode
+    /// is bit-exact.
+    fn to_store_json(&self) -> String;
+
+    /// Rebuild a cell from parsed [`Self::to_store_json`] output. `None`
+    /// on any mismatch — the grid treats it as a cache miss and re-runs.
+    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self>;
+
+    /// Whether [`Self::to_store_json`] captures the whole cell. A cell
+    /// that would replay with data missing returns `false`, and the
+    /// store never writes it.
+    fn storable(&self) -> bool {
+        true
+    }
+}
+
+/// The cacheable payload of a record is everything but the profiler
+/// attachments, so a record carrying `regions` or `trace` is not
+/// [storable](GridCell::storable). `f64` fields use Rust's
+/// shortest-round-trip formatting, so parsing them back with
 /// `str::parse::<f64>` is bit-exact — the property the byte-identical
 /// merge guarantee rests on.
-pub(crate) fn record_json(rec: &RunRecord) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"app\":\"{}\",\"class\":\"{}\",\"machine\":\"{}\",\"policy\":\"{}\"",
-        rec.app,
-        rec.class,
-        rec.machine,
-        rec.policy.label()
-    );
-    if let PagePolicy::Mixed { threshold_bytes } = rec.policy {
-        let _ = write!(out, ",\"mixed_threshold\":{threshold_bytes}");
-    }
-    let _ = write!(
-        out,
-        ",\"threads\":{},\"backend\":\"{}\",\"seconds\":{},\"cycles\":{},\"checksum\":{}",
-        rec.threads, rec.backend, rec.seconds, rec.cycles, rec.checksum
-    );
-    out.push_str(",\"verified\":");
-    match rec.verified {
-        None => out.push_str("null"),
-        Some(true) => out.push_str("true"),
-        Some(false) => out.push_str("false"),
-    }
-    out.push_str(",\"counters\":{");
-    for (i, e) in Event::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl GridCell for RunRecord {
+    fn to_store_json(&self) -> String {
+        let mut out = String::with_capacity(1024);
+        let _ = write!(
+            out,
+            "{{\"app\":\"{}\",\"class\":\"{}\",\"machine\":\"{}\",\"policy\":\"{}\"",
+            self.app,
+            self.class,
+            self.machine,
+            self.policy.label()
+        );
+        if let PagePolicy::Mixed { threshold_bytes } = self.policy {
+            let _ = write!(out, ",\"mixed_threshold\":{threshold_bytes}");
         }
-        let _ = write!(out, "\"{}\":{}", e.mnemonic(), rec.counters.get(*e));
+        let _ = write!(
+            out,
+            ",\"threads\":{},\"backend\":\"{}\",\"seconds\":{},\"cycles\":{},\"checksum\":{}",
+            self.threads, self.backend, self.seconds, self.cycles, self.checksum
+        );
+        out.push_str(",\"verified\":");
+        match self.verified {
+            None => out.push_str("null"),
+            Some(true) => out.push_str("true"),
+            Some(false) => out.push_str("false"),
+        }
+        out.push_str(",\"counters\":{");
+        for (i, e) in Event::ALL.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":{}", e.mnemonic(), self.counters.get(*e));
+        }
+        out.push_str("}}");
+        out
     }
-    out.push_str("}}");
-    out
+
+    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self> {
+        record_from_json(j, key).ok()
+    }
+
+    fn storable(&self) -> bool {
+        self.regions.is_none() && self.trace.is_none()
+    }
 }
 
 fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
@@ -253,11 +274,11 @@ fn opt_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing string {key:?}"))
 }
 
-/// Rebuild a record from [`record_json`] output, cross-checking every
-/// identity field against the key it was loaded under. The typed fields
-/// come from the *key* (so e.g. `machine` stays the preset's `'static`
-/// string), the measured fields from the JSON.
-pub(crate) fn record_from_json(j: &Json, key: &StoreKey) -> Result<RunRecord, String> {
+/// Rebuild a record from its [`GridCell::to_store_json`] output,
+/// cross-checking every identity field against the key it was loaded
+/// under. The typed fields come from the *key* (so e.g. `machine` stays
+/// the preset's `'static` string), the measured fields from the JSON.
+fn record_from_json(j: &Json, key: &StoreKey) -> Result<RunRecord, String> {
     let check = |field: &str, got: &str, want: &str| -> Result<(), String> {
         if got != want {
             return Err(format!("{field}: stored {got:?} != requested {want:?}"));
@@ -337,69 +358,55 @@ impl RunStore {
         &self.dir
     }
 
-    /// Load the record addressed by `key`, or `None` on any of: absent
+    /// Load the record addressed by `key`: [`Self::load_cell`] for a
+    /// [`RunRecord`].
+    pub fn load(&self, key: &StoreKey) -> Option<RunRecord> {
+        self.load_cell(key)
+    }
+
+    /// Persist `rec` under `key`: [`Self::save_cell`] for a
+    /// [`RunRecord`], so a record carrying profiler attachments returns
+    /// `Ok(false)` without writing.
+    pub fn save(&self, key: &StoreKey, rec: &RunRecord) -> std::io::Result<bool> {
+        self.save_cell(key, rec)
+    }
+
+    /// Load the cell addressed by `key`, or `None` on any of: absent
     /// file, unparsable or truncated JSON, store-format or engine-version
     /// mismatch, fingerprint mismatch (hash collision or renamed file),
-    /// or identity-field drift. A miss is always safe — the caller
-    /// re-runs — so every failure maps to a miss, never a panic.
-    pub fn load(&self, key: &StoreKey) -> Option<RunRecord> {
+    /// or a payload `T` rejects (identity-field drift, another cell
+    /// type). A miss is always safe — the caller re-runs — so every
+    /// failure maps to a miss, never a panic.
+    pub fn load_cell<T: GridCell>(&self, key: &StoreKey) -> Option<T> {
         let src = std::fs::read_to_string(self.dir.join(key.file_name())).ok()?;
         let j = parse_json(&src).ok()?;
         (opt_u64(&j, "v").ok()? == STORE_FORMAT).then_some(())?;
         (opt_u64(&j, "engine").ok()? == u64::from(ENGINE_VERSION)).then_some(())?;
         (opt_str(&j, "fp").ok()? == key.fingerprint()).then_some(())?;
-        record_from_json(j.get("record")?, key).ok()
+        T::from_store_json(j.get("record")?, key)
     }
 
-    /// Persist `rec` under `key`. Returns `Ok(false)` — without writing —
-    /// when the record carries profiler attachments the store cannot
-    /// round-trip. The write goes through a temp file + rename, so
-    /// concurrent shard writers racing on one key land a complete file
-    /// (both would write identical bytes).
-    pub fn save(&self, key: &StoreKey, rec: &RunRecord) -> std::io::Result<bool> {
-        if rec.regions.is_some() || rec.trace.is_some() {
+    /// Persist `cell` under `key`, inside an envelope stamped with the
+    /// store format, the engine version and the key's fingerprint.
+    /// Returns `Ok(false)` — without writing — when the cell is not
+    /// [storable](GridCell::storable). The write goes through a temp
+    /// file and a rename, so concurrent shard writers racing on one key
+    /// land a complete file (both would write identical bytes).
+    pub fn save_cell<T: GridCell>(&self, key: &StoreKey, cell: &T) -> std::io::Result<bool> {
+        if !cell.storable() {
             return Ok(false);
         }
-        let mut out = String::with_capacity(1536);
-        let _ = writeln!(
-            out,
-            "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"fp\":\"{}\",\"record\":{}}}",
-            escape(key.fingerprint()),
-            record_json(rec)
-        );
-        self.write_atomic(&key.file_name(), out.as_bytes())?;
-        Ok(true)
-    }
-
-    /// Persist an arbitrary single-line JSON object `payload` under
-    /// `key`, inside the same versioned + fingerprinted envelope as
-    /// [`Self::save`]. This is the generic-cell path used by sweeps whose
-    /// grid points are not [`RunRecord`]s (e.g. the fragmentation and
-    /// NUMA extension tables).
-    pub fn save_cell(&self, key: &StoreKey, payload: &str) -> std::io::Result<()> {
+        let payload = cell.to_store_json();
         debug_assert!(
             !payload.contains('\n'),
             "cell payloads must be single-line JSON"
         );
-        let mut out = String::with_capacity(256 + payload.len());
-        let _ = writeln!(
-            out,
-            "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"fp\":\"{}\",\"record\":{payload}}}",
-            escape(key.fingerprint()),
+        let out = format!(
+            "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"fp\":\"{}\",\"record\":{payload}}}\n",
+            escape_json(key.fingerprint()),
         );
-        self.write_atomic(&key.file_name(), out.as_bytes())
-    }
-
-    /// Load a cell saved by [`Self::save_cell`], returning the parsed
-    /// payload. Misses (on absence, corruption, version or fingerprint
-    /// drift) exactly like [`Self::load`].
-    pub fn load_cell(&self, key: &StoreKey) -> Option<Json> {
-        let src = std::fs::read_to_string(self.dir.join(key.file_name())).ok()?;
-        let j = parse_json(&src).ok()?;
-        (opt_u64(&j, "v").ok()? == STORE_FORMAT).then_some(())?;
-        (opt_u64(&j, "engine").ok()? == u64::from(ENGINE_VERSION)).then_some(())?;
-        (opt_str(&j, "fp").ok()? == key.fingerprint()).then_some(())?;
-        j.get("record").cloned()
+        self.write_atomic(&key.file_name(), out.as_bytes())?;
+        Ok(true)
     }
 
     /// Number of record files resident in the store (manifests excluded).
@@ -428,10 +435,6 @@ impl RunStore {
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, self.dir.join(name))
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 // ---------------------------------------------------------------------
@@ -474,17 +477,17 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// The coverage proof one [`SweepSpec::run_shard`] invocation leaves in
+/// The coverage proof one [`KeyedGrid::run_shard`] invocation leaves in
 /// the store: which grid indices the shard ran (or found cached) and
-/// the addresses of their records. [`SweepSpec::merge_shards`] refuses
+/// the addresses of their records. [`KeyedGrid::merge_shards`] refuses
 /// to assemble results until every shard's manifest is present and
 /// their union covers the grid exactly once.
 ///
-/// [`SweepSpec::run_shard`]: crate::SweepSpec::run_shard
-/// [`SweepSpec::merge_shards`]: crate::SweepSpec::merge_shards
+/// [`KeyedGrid::run_shard`]: crate::KeyedGrid::run_shard
+/// [`KeyedGrid::merge_shards`]: crate::KeyedGrid::merge_shards
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardManifest {
-    /// The sweep this shard belongs to ([`sweep_id`] of the spec).
+    /// The sweep this shard belongs to ([`sweep_id`] of the grid).
     pub sweep: String,
     /// The shard.
     pub shard: Shard,
@@ -518,7 +521,7 @@ impl ShardManifest {
             out,
             "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"sweep\":\"{}\",\
              \"shard\":{},\"of\":{},\"entries\":[",
-            escape(&self.sweep),
+            escape_json(&self.sweep),
             self.shard.index + 1,
             self.shard.count
         );
@@ -590,10 +593,10 @@ impl ShardManifest {
 // ---------------------------------------------------------------------
 // JSON-lines streaming.
 
-/// A line-buffered JSON-lines sink: one object per completed
-/// configuration, in *completion* order (workers race, so lines are not
-/// grid-ordered — each line carries its full identity). Lines add
-/// `"cached":true|false` to the stored-record payload so consumers can
+/// A line-buffered JSON-lines sink: one object per completed cell, in
+/// *completion* order (workers race, so lines are not grid-ordered —
+/// each line carries its full identity). Lines add
+/// `"cached":true|false` to the cell's store payload so consumers can
 /// separate replayed results from fresh engine runs.
 pub struct JsonlSink {
     out: Mutex<Box<dyn std::io::Write + Send>>,
@@ -610,18 +613,11 @@ impl JsonlSink {
         JsonlSink { out: Mutex::new(w) }
     }
 
-    /// Emit one record line; flushes so tail-readers see it immediately.
+    /// Emit one cell's line; flushes so tail-readers see it immediately.
     /// Write errors are reported to stderr, not fatal — streaming is
     /// observability, the sweep's results do not depend on it.
-    pub fn emit(&self, rec: &RunRecord, cached: bool) {
-        self.emit_line(&record_json(rec), cached);
-    }
-
-    /// Emit one arbitrary single-line JSON object with the same
-    /// `"cached"` tag appended — the generic-cell counterpart of
-    /// [`Self::emit`].
-    pub fn emit_line(&self, payload: &str, cached: bool) {
-        let mut line = payload.to_owned();
+    pub fn emit<T: GridCell>(&self, cell: &T, cached: bool) {
+        let mut line = cell.to_store_json();
         let closer = line.pop();
         debug_assert_eq!(closer, Some('}'));
         let _ = writeln!(line, ",\"cached\":{cached}}}");
@@ -753,56 +749,136 @@ mod tests {
     }
 
     #[test]
-    fn tenancy_and_variant_move_the_address() {
+    fn variant_moves_the_address() {
         let base = key(PagePolicy::Small4K, 4);
-        assert!(base.fingerprint().ends_with(";tenancy=none"));
-        let ten = base
-            .clone()
-            .with_tenancy("rr:slice=2000000:asid=tagged:n=2");
-        assert_ne!(base.address(), ten.address());
-        assert!(ten
-            .fingerprint()
-            .contains("tenancy=rr:slice=2000000:asid=tagged:n=2"));
-        assert_eq!(ten.address().len(), 32);
         let v1 = base.clone().with_variant("frag=0.5");
         let v2 = base.clone().with_variant("frag=0.9");
         assert_ne!(base.address(), v1.address());
         assert_ne!(v1.address(), v2.address());
-        // Tenancy composes after a variant (the marker sits mid-string).
-        let both = v1.clone().with_tenancy("rr");
-        assert_ne!(both.address(), v1.address());
+        assert_eq!(v1.address().len(), 32);
     }
 
     #[test]
-    fn schedule_descriptor_moves_the_address() {
-        let base = key(PagePolicy::Small4K, 4);
-        let hier = base
-            .clone()
-            .with_schedule("hier:chunk=256:rb=2:wfp=1:pfw=1");
-        assert_ne!(base.address(), hier.address());
-        assert!(hier.fingerprint().contains(";sched=hier:chunk=256"));
-        // Distinct knob settings give distinct addresses…
-        let ablated = base
-            .clone()
-            .with_schedule("hier:chunk=256:rb=2:wfp=0:pfw=1");
-        assert_ne!(hier.address(), ablated.address());
-        // …and the descriptor composes with a variant.
-        let v = base.clone().with_variant("place=ft").with_schedule("hier");
-        assert_ne!(v.address(), base.clone().with_variant("place=ft").address());
+    fn every_config_axis_moves_the_address() {
+        use crate::system::{SystemBuilder, TenantSpec};
+        use lpomp_prof::ProfileSpec;
+        use lpomp_runtime::{Schedule, StealPolicy, DEFAULT_QUANTUM};
+        use lpomp_vm::{KhugepagedConfig, NumaDaemonConfig};
+        let base = || SystemBuilder::new(opteron_2x2());
+        let key_of = |app, class, b: SystemBuilder, opts, backend| {
+            StoreKey::for_config(app, class, b.config(), opts, backend)
+        };
+        let cg = |b| {
+            key_of(
+                AppKind::Cg,
+                Class::S,
+                b,
+                RunOpts::default(),
+                BackendKind::CycleExact,
+            )
+        };
+        let mut tweaked = opteron_2x2();
+        tweaked.ram_bytes += 1;
+        let keys = [
+            cg(base()),
+            cg(SystemBuilder::new(tweaked)),
+            cg(base().policy(PagePolicy::Large2M)),
+            cg(base().populate(crate::PopulatePolicy::OnDemand)),
+            cg(base().threads(2)),
+            cg(base().quantum(DEFAULT_QUANTUM + 1)),
+            cg(base().private_heap(true)),
+            cg(base().khugepaged(KhugepagedConfig::default())),
+            cg(base().numa_daemon(NumaDaemonConfig::default())),
+            cg(base().profile(ProfileSpec::Regions)),
+            cg(base().tenants(vec![TenantSpec::new("solo", AppKind::Cg, Class::S, 1)])),
+            cg(base().schedule(Schedule::Dynamic(64))),
+            cg(base().steal_policy(StealPolicy {
+                remote_batch: 3,
+                ..StealPolicy::default()
+            })),
+            key_of(
+                AppKind::Mg,
+                Class::S,
+                base(),
+                RunOpts::default(),
+                BackendKind::CycleExact,
+            ),
+            key_of(
+                AppKind::Cg,
+                Class::W,
+                base(),
+                RunOpts::default(),
+                BackendKind::CycleExact,
+            ),
+            key_of(
+                AppKind::Cg,
+                Class::S,
+                base(),
+                RunOpts { verify: true },
+                BackendKind::CycleExact,
+            ),
+            key_of(
+                AppKind::Cg,
+                Class::S,
+                base(),
+                RunOpts::default(),
+                BackendKind::Analytic,
+            ),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a.address(), b.address(), "{}", b.fingerprint());
+            }
+        }
+        // `new` is the default-builder case of `for_config`.
+        let default = StoreKey::new(
+            &opteron_2x2(),
+            AppKind::Cg,
+            Class::S,
+            PagePolicy::Small4K,
+            1,
+            RunOpts::default(),
+            BackendKind::CycleExact,
+        );
+        assert_eq!(default, keys[0]);
+    }
+
+    /// A minimal cell that is not a run record.
+    #[derive(Debug, PartialEq)]
+    struct Xy {
+        x: f64,
+        y: String,
+    }
+
+    impl GridCell for Xy {
+        fn to_store_json(&self) -> String {
+            format!("{{\"x\":{},\"y\":\"{}\"}}", self.x, escape_json(&self.y))
+        }
+
+        fn from_store_json(j: &Json, _key: &StoreKey) -> Option<Self> {
+            Some(Xy {
+                x: j.get("x").and_then(Json::as_num)?,
+                y: j.get("y").and_then(Json::as_str)?.to_owned(),
+            })
+        }
     }
 
     #[test]
     fn generic_cells_round_trip_and_miss_on_drift() {
         let store = temp_store("cells");
         let k = key(PagePolicy::Small4K, 1).with_variant("cell");
-        assert!(store.load_cell(&k).is_none(), "cold store misses");
-        store.save_cell(&k, "{\"x\":1,\"y\":\"z\"}").unwrap();
-        let j = store.load_cell(&k).unwrap();
-        assert_eq!(j.get("x").and_then(Json::as_num), Some(1.0));
-        assert_eq!(j.get("y").and_then(Json::as_str), Some("z"));
+        assert!(store.load_cell::<Xy>(&k).is_none(), "cold store misses");
+        let cell = Xy {
+            x: 1.0,
+            y: "z".to_owned(),
+        };
+        assert!(store.save_cell(&k, &cell).unwrap());
+        let back: Xy = store.load_cell(&k).unwrap();
+        assert_eq!(back.x, 1.0);
+        assert_eq!(back.y, "z");
         // A different variant misses.
         let other = key(PagePolicy::Small4K, 1).with_variant("other");
-        assert!(store.load_cell(&other).is_none());
+        assert!(store.load_cell::<Xy>(&other).is_none());
         // RunRecord loads reject cell files: miss, never a wrong record.
         assert!(store.load(&k).is_none());
         let _ = std::fs::remove_dir_all(store.dir());
@@ -871,7 +947,7 @@ mod tests {
 
         // Fingerprint drift under the right file name (a collision or a
         // renamed file): miss, never a wrong record.
-        let collided = good.replace("policy=Small4K", "policy=Large2M");
+        let collided = good.replace("policy: Small4K", "policy: Large2M");
         assert_ne!(collided, good);
         std::fs::write(&path, &collided).unwrap();
         assert!(store.load(&k).is_none(), "collision must miss");

@@ -5,15 +5,24 @@
 //! users studying their own questions ("what does a 512-entry L2 TLB do
 //! to SP?") want the sweep as a *library*: build a [`SweepSpec`], run it,
 //! and slice the [`SweepResults`] by any axis.
+//!
+//! There is one grid engine: [`KeyedGrid`], a list of [`StoreKey`]s plus
+//! a closure producing cell `i`. A [`SweepSpec`] is one producer of it
+//! ([`SweepSpec::grid`]); experiment binaries with their own cell types
+//! build others. Every grid gets the same store machinery — incremental
+//! re-runs, interleaved shards with coverage manifests, validated
+//! merges and JSON-lines streaming.
+//!
+//! [`run_backend`]: crate::run_backend
 
-use crate::backend::{run_backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::experiment::{RunOpts, RunRecord};
 use crate::parallel::{default_workers, par_map};
 use crate::policy::PagePolicy;
-use crate::store::{sweep_id, JsonlSink, RunStore, Shard, ShardManifest, StoreKey};
+use crate::store::{sweep_id, GridCell, JsonlSink, RunStore, Shard, ShardManifest, StoreKey};
+use crate::system::SystemBuilder;
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
-use lpomp_prof::Json;
 use std::sync::Mutex;
 
 /// The grid of configurations to run.
@@ -75,12 +84,13 @@ impl SweepSpec {
         self.len() == 0
     }
 
-    /// The grid in its canonical (serial-loop) order:
-    /// machines → apps → policies → threads, skipping thread counts a
-    /// machine cannot seat. Every `run*` method executes exactly this
+    /// The grid in its canonical (serial-loop) order: machines → apps →
+    /// policies → threads, skipping thread counts a machine cannot seat.
+    /// Each cell is its app plus the one builder that configures its
+    /// system; every `run*` method and [`Self::grid`] use exactly this
     /// list, so results are identical however they are scheduled.
-    fn grid(&self) -> Vec<(&MachineConfig, AppKind, PagePolicy, usize)> {
-        let mut configs = Vec::with_capacity(self.len());
+    pub fn cells(&self) -> Vec<(AppKind, SystemBuilder)> {
+        let mut cells = Vec::with_capacity(self.len());
         for machine in &self.machines {
             for &app in &self.apps {
                 for &policy in &self.policies {
@@ -88,12 +98,23 @@ impl SweepSpec {
                         if threads > machine.contexts() {
                             continue;
                         }
-                        configs.push((machine, app, policy, threads));
+                        let builder = SystemBuilder::new(machine.clone())
+                            .policy(policy)
+                            .threads(threads);
+                        cells.push((app, builder));
                     }
                 }
             }
         }
-        configs
+        cells
+    }
+
+    /// The sweep as a [`KeyedGrid`] over [`Self::cells`]: the route to
+    /// the store machinery (`run_incremental`, `run_shard`,
+    /// `merge_shards`). Cell `i` of the grid is record `i` of
+    /// [`Self::run`].
+    pub fn grid(&self) -> KeyedGrid<'static, RunRecord> {
+        KeyedGrid::systems(self.class, self.opts, self.backend, self.cells())
     }
 
     /// Execute the sweep on [`default_workers`] worker threads
@@ -109,27 +130,7 @@ impl SweepSpec {
     /// is the serial loop; any other count produces the same records in
     /// the same (grid) order.
     pub fn run_parallel(&self, workers: usize) -> SweepResults {
-        let grid = self.grid();
-        if self.backend == BackendKind::Analytic {
-            // Warm the profile cache serially: captures are the expensive
-            // step and `get_or_capture` holds the cache lock across one,
-            // so letting workers race to it would serialize them anyway.
-            for &(_, app, _, threads) in &grid {
-                crate::backend::cached_profile(app, self.class, threads);
-            }
-        }
-        let records = par_map(&grid, workers, |_, &(machine, app, policy, threads)| {
-            run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            )
-        });
-        SweepResults { records }
+        self.grid().run_all(workers).into()
     }
 
     /// Execute with a progress callback `(completed, total)`.
@@ -140,321 +141,29 @@ impl SweepSpec {
     /// [`run`]: SweepSpec::run
     /// [`run_parallel`]: SweepSpec::run_parallel
     pub fn run_with_progress(&self, mut progress: impl FnMut(usize, usize)) -> SweepResults {
-        let grid = self.grid();
-        let total = grid.len();
+        let cells = self.cells();
+        let total = cells.len();
+        let backend = self.backend.backend();
         let mut records = Vec::with_capacity(total);
-        for (done, &(machine, app, policy, threads)) in grid.iter().enumerate() {
+        for (done, (app, builder)) in cells.iter().enumerate() {
             progress(done, total);
-            records.push(run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            ));
+            records.push(backend.run(*app, self.class, builder, self.opts));
         }
-        SweepResults { records }
-    }
-
-    /// The [`StoreKey`] of every grid configuration, in canonical grid
-    /// order — index `i` here is "grid index `i`" everywhere in the
-    /// store/shard machinery.
-    pub fn store_keys(&self) -> Vec<StoreKey> {
-        self.grid()
-            .iter()
-            .map(|&(machine, app, policy, threads)| {
-                StoreKey::new(
-                    machine,
-                    app,
-                    self.class,
-                    policy,
-                    threads,
-                    self.opts,
-                    self.backend,
-                )
-            })
-            .collect()
-    }
-
-    /// Content identity of the whole grid (see [`sweep_id`]); names the
-    /// shard manifests so different sweeps can share one store directory.
-    pub fn sweep_id(&self) -> String {
-        sweep_id(&self.store_keys())
-    }
-
-    /// Execute the sweep *incrementally* against `store`: configurations
-    /// whose [`StoreKey`] resolves to a valid stored record are replayed
-    /// from disk; only the misses run the engine (on [`default_workers`]
-    /// threads), and every fresh record is persisted for next time. The
-    /// merged results are byte-identical to [`run`](SweepSpec::run) —
-    /// same records, same grid order — so a second invocation on
-    /// unchanged code is zero engine runs.
-    ///
-    /// Hit/miss counts are logged to stderr and returned in the
-    /// [`IncrementalSweep`].
-    pub fn run_incremental(&self, store: &RunStore) -> std::io::Result<IncrementalSweep> {
-        self.run_incremental_with(store, default_workers(), None)
-    }
-
-    /// [`run_incremental`](SweepSpec::run_incremental) with an explicit
-    /// worker count and an optional JSON-lines sink. Cached records are
-    /// streamed first (in grid order, `"cached":true`), then fresh
-    /// records as they complete.
-    pub fn run_incremental_with(
-        &self,
-        store: &RunStore,
-        workers: usize,
-        sink: Option<&JsonlSink>,
-    ) -> std::io::Result<IncrementalSweep> {
-        let grid = self.grid();
-        let keys = self.store_keys();
-        let mut slots: Vec<Option<RunRecord>> = keys.iter().map(|k| store.load(k)).collect();
-        let miss_idx: Vec<usize> = (0..grid.len()).filter(|&i| slots[i].is_none()).collect();
-        let hits = grid.len() - miss_idx.len();
-        if let Some(sink) = sink {
-            for rec in slots.iter().flatten() {
-                sink.emit(rec, true);
-            }
-        }
-        let fresh = self.run_missing(&grid, &keys, &miss_idx, store, workers, sink)?;
-        for (&i, rec) in miss_idx.iter().zip(fresh) {
-            slots[i] = Some(rec);
-        }
-        eprintln!(
-            "sweep store [{}]: {hits} hits, {} misses / {} configs",
-            store.dir().display(),
-            miss_idx.len(),
-            grid.len()
-        );
-        Ok(IncrementalSweep {
-            results: SweepResults {
-                records: slots.into_iter().map(Option::unwrap).collect(),
-            },
-            hits,
-            misses: miss_idx.len(),
-        })
-    }
-
-    /// Run grid indices `miss_idx` (misses of some superset), saving and
-    /// streaming each record. Returns the fresh records in `miss_idx`
-    /// order. The first store-write error aborts (a sweep that cannot
-    /// persist would silently lose its resume guarantee).
-    fn run_missing(
-        &self,
-        grid: &[(&MachineConfig, AppKind, PagePolicy, usize)],
-        keys: &[StoreKey],
-        miss_idx: &[usize],
-        store: &RunStore,
-        workers: usize,
-        sink: Option<&JsonlSink>,
-    ) -> std::io::Result<Vec<RunRecord>> {
-        if self.backend == BackendKind::Analytic {
-            // Warm the profile cache serially over the *misses* only —
-            // hits never consult a profile (see `run_parallel` for why
-            // serial).
-            for &i in miss_idx {
-                let (_, app, _, threads) = grid[i];
-                crate::backend::cached_profile(app, self.class, threads);
-            }
-        }
-        let save_errors: Mutex<Vec<std::io::Error>> = Mutex::new(Vec::new());
-        let fresh = par_map(miss_idx, workers, |_, &gi| {
-            let (machine, app, policy, threads) = grid[gi];
-            let rec = run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            );
-            if let Err(e) = store.save(&keys[gi], &rec) {
-                save_errors
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(e);
-            }
-            if let Some(sink) = sink {
-                sink.emit(&rec, false);
-            }
-            rec
-        });
-        let mut errors = save_errors.into_inner().unwrap_or_else(|p| p.into_inner());
-        match errors.pop() {
-            Some(e) => Err(e),
-            None => Ok(fresh),
-        }
-    }
-
-    /// Execute this process's slice of a sweep partitioned across
-    /// `shard.count` cooperating processes sharing `store`, incrementally
-    /// (cached configs are not re-run), and record a [`ShardManifest`]
-    /// proving which grid indices this shard covered. Once every shard
-    /// has run, [`merge_shards`](SweepSpec::merge_shards) assembles the
-    /// full results without touching the engine.
-    pub fn run_shard(
-        &self,
-        shard: Shard,
-        store: &RunStore,
-        workers: usize,
-        sink: Option<&JsonlSink>,
-    ) -> std::io::Result<ShardManifest> {
-        let grid = self.grid();
-        let keys = self.store_keys();
-        let owned: Vec<usize> = (0..grid.len()).filter(|&i| shard.covers(i)).collect();
-        let mut miss_idx = Vec::new();
-        for &i in &owned {
-            match store.load(&keys[i]) {
-                Some(rec) => {
-                    if let Some(sink) = sink {
-                        sink.emit(&rec, true);
-                    }
-                }
-                None => miss_idx.push(i),
-            }
-        }
-        let hits = owned.len() - miss_idx.len();
-        self.run_missing(&grid, &keys, &miss_idx, store, workers, sink)?;
-        let manifest = ShardManifest {
-            sweep: self.sweep_id(),
-            shard,
-            entries: owned.iter().map(|&i| (i, keys[i].address())).collect(),
-        };
-        manifest.write(store)?;
-        eprintln!(
-            "sweep store [{}] shard {shard}: {hits} hits, {} misses / {} configs",
-            store.dir().display(),
-            miss_idx.len(),
-            owned.len()
-        );
-        Ok(manifest)
-    }
-
-    /// Assemble the results of a sweep previously run as `count` shards
-    /// into `store` (in any order, on any mix of hosts sharing the
-    /// directory). Validates before trusting: every shard's manifest must
-    /// be present and belong to *this* sweep, their entries must cover
-    /// the grid exactly once, each entry's address must match the key
-    /// this spec derives (detecting hash collisions and spec drift), and
-    /// every record must still load. Any violation is a descriptive
-    /// error, never partial results.
-    ///
-    /// The merged records equal a single-process [`run`](SweepSpec::run)
-    /// byte-for-byte.
-    pub fn merge_shards(&self, store: &RunStore, count: usize) -> Result<SweepResults, String> {
-        if count == 0 {
-            return Err("merge: shard count must be >= 1".into());
-        }
-        let keys = self.store_keys();
-        let id = sweep_id(&keys);
-        let mut covered: Vec<Option<Shard>> = vec![None; keys.len()];
-        for index in 0..count {
-            let shard = Shard { index, count };
-            let path = store.dir().join(ShardManifest::file_name(&id, shard));
-            if !path.exists() {
-                return Err(format!(
-                    "merge: shard {shard} of sweep {id} has no manifest in {} — \
-                     did every `--shard i/{count}` run finish?",
-                    store.dir().display()
-                ));
-            }
-            let m = ShardManifest::read(&path)?;
-            if m.sweep != id {
-                return Err(format!(
-                    "merge: manifest {} names sweep {}, expected {id}",
-                    path.display(),
-                    m.sweep
-                ));
-            }
-            if m.shard != shard {
-                return Err(format!(
-                    "merge: manifest {} claims shard {}, expected {shard}",
-                    path.display(),
-                    m.shard
-                ));
-            }
-            for &(gi, ref addr) in &m.entries {
-                let key = keys.get(gi).ok_or_else(|| {
-                    format!(
-                        "merge: shard {shard} covers grid index {gi}, but the grid has {} configs",
-                        keys.len()
-                    )
-                })?;
-                if *addr != key.address() {
-                    return Err(format!(
-                        "merge: grid index {gi} stored as {addr} but this spec derives {} — \
-                         key collision or spec drift",
-                        key.address()
-                    ));
-                }
-                if let Some(prev) = covered[gi] {
-                    return Err(format!(
-                        "merge: grid index {gi} covered by both shard {prev} and shard {shard}"
-                    ));
-                }
-                covered[gi] = Some(shard);
-            }
-        }
-        if let Some(gi) = covered.iter().position(Option::is_none) {
-            return Err(format!(
-                "merge: grid index {gi} ({}) covered by no shard",
-                keys[gi].fingerprint()
-            ));
-        }
-        let mut records = Vec::with_capacity(keys.len());
-        for (gi, key) in keys.iter().enumerate() {
-            records.push(store.load(key).ok_or_else(|| {
-                format!(
-                    "merge: record for grid index {gi} ({}) missing or invalid in {}",
-                    key.fingerprint(),
-                    store.dir().display()
-                )
-            })?);
-        }
-        Ok(SweepResults { records })
+        records.into()
     }
 }
 
 // ---------------------------------------------------------------------
-// Generic keyed grids.
+// Keyed grids.
 
-/// A grid-cell payload a [`KeyedGrid`] can persist in a [`RunStore`] and
-/// replay. [`RunRecord`] implements it with the store's native record
-/// encoding; experiment binaries whose cells are *not* run records (the
-/// fragmentation and tenancy tables) implement it over their own row
-/// structs.
-pub trait GridCell: Sized + Send {
-    /// Single-line JSON object encoding of the cell. `f64` fields must
-    /// use Rust's default (shortest-round-trip) formatting so the decode
-    /// is bit-exact.
-    fn to_store_json(&self) -> String;
-
-    /// Rebuild a cell from parsed [`Self::to_store_json`] output. `None`
-    /// on any mismatch — the grid treats it as a cache miss and re-runs.
-    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self>;
-}
-
-impl GridCell for RunRecord {
-    fn to_store_json(&self) -> String {
-        crate::store::record_json(self)
-    }
-
-    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self> {
-        crate::store::record_from_json(j, key).ok()
-    }
-}
-
-/// An arbitrary keyed experiment grid with the same store machinery as
-/// [`SweepSpec`] — incremental re-runs, interleaved shards with coverage
-/// manifests, merge validation, JSON-lines streaming — but over *any*
-/// cell type and run closure, not just the (machine × app × policy ×
-/// threads) cartesian product. The keys carry the full configuration
-/// identity (use [`StoreKey::with_variant`] for axes the typed key does
-/// not model); cell `i` is produced by `run(i, &keys[i])` and must be a
-/// pure function of that key.
+/// An experiment grid with store machinery — incremental re-runs,
+/// interleaved shards with coverage manifests, merge validation,
+/// JSON-lines streaming — over *any* cell type and run closure. The
+/// keys carry the full configuration identity (derive them with
+/// [`StoreKey::for_config`] from the builder the cell runs, plus
+/// [`StoreKey::with_variant`] for state outside the config); cell `i`
+/// is produced by `run(i, &keys[i])` and must be a pure function of
+/// that key.
 pub struct KeyedGrid<'a, T> {
     keys: Vec<StoreKey>,
     run: CellFn<'a, T>,
@@ -462,6 +171,28 @@ pub struct KeyedGrid<'a, T> {
 
 /// The boxed cell-producing closure of a [`KeyedGrid`].
 type CellFn<'a, T> = Box<dyn Fn(usize, &StoreKey) -> T + Sync + 'a>;
+
+impl KeyedGrid<'static, RunRecord> {
+    /// A grid of system runs: cell `i` runs `cells[i].0` on the system
+    /// `cells[i].1` configures, through `backend`. The same builder
+    /// derives the cell's key ([`StoreKey::for_config`]), so the address
+    /// covers every knob the run sees.
+    pub fn systems(
+        class: Class,
+        opts: RunOpts,
+        backend: BackendKind,
+        cells: Vec<(AppKind, SystemBuilder)>,
+    ) -> Self {
+        let keys = cells
+            .iter()
+            .map(|(app, b)| StoreKey::for_config(*app, class, b.config(), opts, backend))
+            .collect();
+        KeyedGrid::new(keys, move |i, _key| {
+            let (app, builder) = &cells[i];
+            backend.backend().run(*app, class, builder, opts)
+        })
+    }
+}
 
 impl<'a, T: GridCell> KeyedGrid<'a, T> {
     /// A grid over `keys`, with `run` producing cell `i` from key `i`.
@@ -482,12 +213,14 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         self.keys.is_empty()
     }
 
-    /// The grid's keys, in canonical order.
+    /// The grid's keys, in canonical order — index `i` here is "cell
+    /// `i`" everywhere in the store and shard machinery.
     pub fn keys(&self) -> &[StoreKey] {
         &self.keys
     }
 
-    /// Content identity of the grid (see [`sweep_id`]).
+    /// Content identity of the grid (see [`sweep_id`]); names the shard
+    /// manifests so different grids can share one store directory.
     pub fn sweep_id(&self) -> String {
         sweep_id(&self.keys)
     }
@@ -499,22 +232,29 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         par_map(&idx, workers, |_, &i| (self.run)(i, &self.keys[i]))
     }
 
-    /// Run the grid incrementally against `store` (cells whose key
-    /// resolves replay from disk; misses run and are persisted), exactly
-    /// like [`SweepSpec::run_incremental_with`]. Returns the cells in
-    /// key order plus `(hits, misses)`.
+    /// Run the grid *incrementally* against `store`: cells whose key
+    /// resolves to a valid stored cell are replayed from disk; only the
+    /// misses run (on `workers` threads), and every fresh
+    /// [storable](GridCell::storable) cell is persisted for next time.
+    /// The merged cells are byte-identical to [`Self::run_all`] — same
+    /// cells, same key order — so a second invocation on unchanged code
+    /// runs nothing. Cached cells are streamed to `sink` first (in key
+    /// order, `"cached":true`), then fresh cells as they complete.
+    ///
+    /// Returns the cells plus `(hits, misses)`; the counts are also
+    /// logged to stderr.
     pub fn run_incremental(
         &self,
         store: &RunStore,
         workers: usize,
         sink: Option<&JsonlSink>,
     ) -> std::io::Result<(Vec<T>, usize, usize)> {
-        let mut slots: Vec<Option<T>> = self.keys.iter().map(|k| self.load(store, k)).collect();
+        let mut slots: Vec<Option<T>> = self.keys.iter().map(|k| store.load_cell(k)).collect();
         let miss_idx: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
         let hits = slots.len() - miss_idx.len();
         if let Some(sink) = sink {
             for cell in slots.iter().flatten() {
-                sink.emit_line(&cell.to_store_json(), true);
+                sink.emit(cell, true);
             }
         }
         let fresh = self.run_missing(&miss_idx, store, workers, sink)?;
@@ -522,7 +262,7 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
             slots[i] = Some(cell);
         }
         eprintln!(
-            "keyed grid store [{}]: {hits} hits, {} misses / {} cells",
+            "sweep store [{}]: {hits} hits, {} misses / {} cells",
             store.dir().display(),
             miss_idx.len(),
             slots.len()
@@ -535,9 +275,12 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         ))
     }
 
-    /// Run this process's interleaved slice of the grid into the shared
-    /// store and write its coverage manifest — the keyed counterpart of
-    /// [`SweepSpec::run_shard`].
+    /// Run this process's slice of a grid partitioned across
+    /// `shard.count` cooperating processes sharing `store`, incrementally
+    /// (cached cells are not re-run), and record a [`ShardManifest`]
+    /// proving which cells this shard covered. Once every shard has run,
+    /// [`Self::merge_shards`] assembles the full grid without running
+    /// anything.
     pub fn run_shard(
         &self,
         shard: Shard,
@@ -548,10 +291,10 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         let owned: Vec<usize> = (0..self.keys.len()).filter(|&i| shard.covers(i)).collect();
         let mut miss_idx = Vec::new();
         for &i in &owned {
-            match self.load(store, &self.keys[i]) {
+            match store.load_cell::<T>(&self.keys[i]) {
                 Some(cell) => {
                     if let Some(sink) = sink {
-                        sink.emit_line(&cell.to_store_json(), true);
+                        sink.emit(&cell, true);
                     }
                 }
                 None => miss_idx.push(i),
@@ -566,7 +309,7 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         };
         manifest.write(store)?;
         eprintln!(
-            "keyed grid store [{}] shard {shard}: {hits} hits, {} misses / {} cells",
+            "sweep store [{}] shard {shard}: {hits} hits, {} misses / {} cells",
             store.dir().display(),
             miss_idx.len(),
             owned.len()
@@ -574,8 +317,14 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         Ok(manifest)
     }
 
-    /// Assemble a previously sharded grid from the store, with the same
-    /// coverage/collision validation as [`SweepSpec::merge_shards`].
+    /// Assemble a grid previously run as `count` shards into `store` (in
+    /// any order, on any mix of hosts sharing the directory). Validates
+    /// before trusting: every shard's manifest must be present and belong
+    /// to *this* grid, their entries must cover the grid exactly once,
+    /// each entry's address must match the key this grid derives
+    /// (detecting hash collisions and grid drift), and every cell must
+    /// still load. Any violation is a descriptive error, never partial
+    /// results. The merged cells equal [`Self::run_all`] byte-for-byte.
     pub fn merge_shards(&self, store: &RunStore, count: usize) -> Result<Vec<T>, String> {
         if count == 0 {
             return Err("merge: shard count must be >= 1".into());
@@ -637,7 +386,7 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         }
         let mut cells = Vec::with_capacity(self.keys.len());
         for (gi, key) in self.keys.iter().enumerate() {
-            cells.push(self.load(store, key).ok_or_else(|| {
+            cells.push(store.load_cell(key).ok_or_else(|| {
                 format!(
                     "merge: cell {gi} ({}) missing or invalid in {}",
                     key.fingerprint(),
@@ -648,12 +397,9 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         Ok(cells)
     }
 
-    fn load(&self, store: &RunStore, key: &StoreKey) -> Option<T> {
-        T::from_store_json(&store.load_cell(key)?, key)
-    }
-
     /// Run cells `miss_idx`, saving and streaming each. The first
-    /// store-write error aborts, like [`SweepSpec`]'s `run_missing`.
+    /// store-write error aborts (a grid that cannot persist would
+    /// silently lose its resume guarantee).
     fn run_missing(
         &self,
         miss_idx: &[usize],
@@ -664,15 +410,14 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         let save_errors: Mutex<Vec<std::io::Error>> = Mutex::new(Vec::new());
         let fresh = par_map(miss_idx, workers, |_, &gi| {
             let cell = (self.run)(gi, &self.keys[gi]);
-            let json = cell.to_store_json();
-            if let Err(e) = store.save_cell(&self.keys[gi], &json) {
+            if let Err(e) = store.save_cell(&self.keys[gi], &cell) {
                 save_errors
                     .lock()
                     .unwrap_or_else(|p| p.into_inner())
                     .push(e);
             }
             if let Some(sink) = sink {
-                sink.emit_line(&json, false);
+                sink.emit(&cell, false);
             }
             cell
         });
@@ -684,22 +429,18 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
     }
 }
 
-/// What [`SweepSpec::run_incremental`] did: the merged results plus the
-/// cache observability counters (`hits + misses == results.records().len()`).
-#[derive(Clone, Debug)]
-pub struct IncrementalSweep {
-    /// The full sweep results, byte-identical to a cold [`SweepSpec::run`].
-    pub results: SweepResults,
-    /// Configurations replayed from the store.
-    pub hits: usize,
-    /// Configurations that ran the engine (and were then persisted).
-    pub misses: usize,
-}
-
 /// The outcome of a sweep: every [`RunRecord`], queryable by axis.
 #[derive(Clone, Debug)]
 pub struct SweepResults {
     records: Vec<RunRecord>,
+}
+
+impl From<Vec<RunRecord>> for SweepResults {
+    /// Wrap a grid's records (e.g. from [`SweepSpec::grid`]) for
+    /// querying.
+    fn from(records: Vec<RunRecord>) -> Self {
+        SweepResults { records }
+    }
 }
 
 impl SweepResults {
@@ -753,7 +494,9 @@ impl SweepResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::run_backend;
     use lpomp_machine::opteron_2x2;
+    use lpomp_prof::Json;
 
     fn small_spec() -> SweepSpec {
         SweepSpec {

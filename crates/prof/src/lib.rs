@@ -44,4 +44,4 @@ pub use region::{ProfileSheet, ProfileSpec, RegionId, RegionProfiler, ROOT_REGIO
 pub use report::{imbalance, normalized, rate_per_second, NormalizedSeries};
 pub use reuse::{PhaseAggregator, ReuseHistogram, ReuseTracker, StreamProfile, ThreadRecorder};
 pub use table::TextTable;
-pub use trace::{parse_json, Json, TraceRecorder};
+pub use trace::{escape_json, parse_json, Json, TraceRecorder};

@@ -18,7 +18,7 @@
 //! Everything here is dependency-free; serialization round-trips through
 //! [`crate::trace::parse_json`].
 
-use crate::trace::{parse_json, Json};
+use crate::trace::{escape_json, parse_json, Json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -952,10 +952,6 @@ fn write_conflicts(out: &mut String, cs: &[[ConflictHist; MODES]]) {
     out.push(']');
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl StreamProfile {
     /// Serialize to JSON (compact, integers exact below 2^53). The
     /// output opens with an `"engine"` stamp ([`crate::ENGINE_VERSION`]);
@@ -968,8 +964,8 @@ impl StreamProfile {
             out,
             "{{\"engine\":{},\"app\":\"{}\",\"class\":\"{}\",\"threads\":{},\"checksum\":{}",
             crate::ENGINE_VERSION,
-            escape(&self.app),
-            escape(&self.class),
+            escape_json(&self.app),
+            escape_json(&self.class),
             self.threads,
             self.checksum
         );
@@ -981,7 +977,7 @@ impl StreamProfile {
             let _ = write!(
                 out,
                 "{{\"label\":\"{}\",\"barriers\":{},\"threads\":[",
-                escape(&p.label),
+                escape_json(&p.label),
                 p.barriers
             );
             for (ti, t) in p.threads.iter().enumerate() {

@@ -129,7 +129,10 @@ impl TraceRecorder {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal: quotes and
+/// backslashes are backslash-escaped and every control character is
+/// written as an escape, so the output always parses back to `s`.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

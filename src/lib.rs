@@ -26,10 +26,10 @@ pub use lpomp_vm as vm;
 pub mod prelude {
     pub use lpomp_core::{
         default_workers, figure4_thread_counts, par_map, run_backend, run_sim, run_system, Arch,
-        BackendKind, GridCell, IncrementalSweep, JsonlSink, KeyedGrid, MMArch, MultiRunReport,
-        MultiSystem, PagePolicy, PopulatePolicy, ProfileSpec, RunOpts, RunRecord, RunStore,
-        SetupStats, Shard, StoreKey, SweepResults, SweepSpec, System, SystemBuilder, SystemConfig,
-        TenancyConfig, TenantReport, TenantSpec,
+        BackendKind, GridCell, JsonlSink, KeyedGrid, MMArch, MultiRunReport, MultiSystem,
+        PagePolicy, PopulatePolicy, ProfileSpec, RunOpts, RunRecord, RunStore, SetupStats, Shard,
+        StoreKey, SweepResults, SweepSpec, System, SystemBuilder, SystemConfig, TenancyConfig,
+        TenantReport, TenantSpec,
     };
     pub use lpomp_machine::{
         arm64_2x2_16k, arm64_2x2_4k, modern_x86_2x2, opteron_2x2, xeon_2x2_ht, AsidMode,
