@@ -6,22 +6,25 @@
 //! function of the cached [`StreamProfile`]. The cache is in-memory and
 //! process-wide by default; set `LPOMP_PROFILE_DIR` to also persist
 //! profiles as JSON across processes. Disk files are never trusted:
-//! corrupt or truncated JSON, a key mismatch, or an
-//! [`ENGINE_VERSION`](lpomp_prof::ENGINE_VERSION) stamp from a
-//! different engine all fall back to recapture.
+//! corrupt or truncated JSON, a key mismatch, histograms no capture can
+//! produce, or an [`ENGINE_VERSION`](lpomp_prof::ENGINE_VERSION) stamp
+//! from a different engine all fall back to recapture.
 
 use crate::common::{AppKind, Class};
 use lpomp_prof::reuse::StreamProfile;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cache key.
 pub type ProfileKey = (AppKind, Class, usize);
 
+/// A key's profile, filled once by whichever caller captures it.
+type Cell = Arc<OnceLock<Arc<StreamProfile>>>;
+
 /// See the [module docs](self).
 pub struct ProfileCache {
-    mem: Mutex<HashMap<ProfileKey, Arc<StreamProfile>>>,
+    mem: Mutex<HashMap<ProfileKey, Cell>>,
     dir: Option<PathBuf>,
 }
 
@@ -56,12 +59,11 @@ impl ProfileCache {
         format!("{app}_{class}_t{threads}.json")
     }
 
-    /// Lock the in-memory map, recovering from poisoning: the cache is a
-    /// plain `HashMap` of immutable `Arc`s with no multi-step invariants,
-    /// so a worker that panicked mid-`capture` leaves it consistent.
-    /// Recovering lets the original panic surface alone instead of
-    /// cascading `PoisonError` panics across every other sweep worker.
-    fn mem(&self) -> MutexGuard<'_, HashMap<ProfileKey, Arc<StreamProfile>>> {
+    /// Lock the in-memory map, recovering from poisoning: the map only
+    /// ever gains cells, so no holder can leave it half-updated, and
+    /// recovering keeps one panic from cascading `PoisonError` panics
+    /// across every other sweep worker.
+    fn mem(&self) -> MutexGuard<'_, HashMap<ProfileKey, Cell>> {
         self.mem
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -69,7 +71,7 @@ impl ProfileCache {
 
     /// Number of profiles resident in memory.
     pub fn len(&self) -> usize {
-        self.mem().len()
+        self.mem().values().filter(|c| c.get().is_some()).count()
     }
 
     /// Whether the in-memory cache is empty.
@@ -77,9 +79,11 @@ impl ProfileCache {
         self.len() == 0
     }
 
-    /// Fetch the profile for a key, running `capture` on a miss. The
-    /// cache lock is held across `capture`, serializing concurrent
-    /// capture runs so parallel sweep workers never duplicate one.
+    /// Fetch the profile for a key, running `capture` on a miss. The map
+    /// lock is held only to find or insert the key's cell: captures of
+    /// different keys run concurrently, while concurrent callers of one
+    /// key wait for a single capture. A capture that panics leaves its
+    /// cell empty, so the next caller captures again.
     pub fn get_or_capture(
         &self,
         app: AppKind,
@@ -87,18 +91,15 @@ impl ProfileCache {
         threads: usize,
         capture: impl FnOnce() -> StreamProfile,
     ) -> Arc<StreamProfile> {
-        let mut mem = self.mem();
-        if let Some(p) = mem.get(&(app, class, threads)) {
-            return Arc::clone(p);
-        }
-        let profile = self.try_load(app, class, threads).unwrap_or_else(|| {
-            let p = capture();
-            self.try_store(app, class, threads, &p);
-            p
+        let cell = Arc::clone(self.mem().entry((app, class, threads)).or_default());
+        let profile = cell.get_or_init(|| {
+            Arc::new(self.try_load(app, class, threads).unwrap_or_else(|| {
+                let p = capture();
+                self.try_store(app, class, threads, &p);
+                p
+            }))
         });
-        let arc = Arc::new(profile);
-        mem.insert((app, class, threads), Arc::clone(&arc));
-        arc
+        Arc::clone(profile)
     }
 
     fn path(&self, app: AppKind, class: Class, threads: usize) -> Option<PathBuf> {
@@ -252,10 +253,36 @@ mod tests {
     }
 
     #[test]
+    fn captures_of_different_keys_run_concurrently() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use std::time::Duration;
+        let cache = ProfileCache::with_dir(None);
+        // Each capture tells the other it started, then waits to hear
+        // back: both hear back only if neither blocks the other.
+        let meet = |app: AppKind, tx: Sender<()>, rx: Receiver<()>| {
+            cache.get_or_capture(app, Class::S, 2, || {
+                let _ = tx.send(());
+                let heard = rx.recv_timeout(Duration::from_secs(5));
+                assert!(heard.is_ok(), "{app} capture ran alone: {heard:?}");
+                tiny_profile(app, Class::S, 2)
+            })
+        };
+        let (to_mg, from_cg) = channel();
+        let (to_cg, from_mg) = channel();
+        std::thread::scope(|s| {
+            let cg = s.spawn(|| meet(AppKind::Cg, to_mg, from_mg));
+            let mg = s.spawn(|| meet(AppKind::Mg, to_cg, from_cg));
+            assert_eq!(cg.join().expect("CG capture").app, AppKind::Cg.to_string());
+            assert_eq!(mg.join().expect("MG capture").app, AppKind::Mg.to_string());
+        });
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
     fn poisoned_lock_recovers_instead_of_cascading() {
         let cache = std::sync::Arc::new(ProfileCache::with_dir(None));
-        // Poison the mutex: a worker panics while holding the lock
-        // (mid-capture, as a panicking engine run would).
+        // A worker's capture panics mid-run, as a panicking engine run
+        // would.
         let c = std::sync::Arc::clone(&cache);
         let _ = std::thread::spawn(move || {
             c.get_or_capture(AppKind::Cg, Class::S, 2, || panic!("engine run panicked"))
@@ -269,5 +296,11 @@ mod tests {
         });
         assert_eq!(p.threads, 4);
         assert_eq!(cache.len(), 1);
+        // The panicked key's cell stayed empty: the next caller captures.
+        let p = cache.get_or_capture(AppKind::Cg, Class::S, 2, || {
+            tiny_profile(AppKind::Cg, Class::S, 2)
+        });
+        assert_eq!(p.threads, 2);
+        assert_eq!(cache.len(), 2);
     }
 }

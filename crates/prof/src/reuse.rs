@@ -137,15 +137,18 @@ pub fn conflict_shape_index(granularity: u8, sets: u32, ways: u32) -> Option<usi
 /// Per-set true-LRU stack distances for one [`ConflictShape`].
 struct SetTracker {
     mask: u64,
-    /// Per-set MRU-first key lists, truncated at [`CONFLICT_DEPTH`].
-    sets: Vec<Vec<u64>>,
+    /// Row `s` (`CONFLICT_DEPTH` keys from `s * CONFLICT_DEPTH`) is set
+    /// `s`'s MRU-first key list; its first `lens[s]` entries are live.
+    keys: Vec<u64>,
+    lens: Vec<u8>,
 }
 
 impl SetTracker {
     fn new(shape: &ConflictShape) -> Self {
         SetTracker {
             mask: u64::from(shape.sets - 1),
-            sets: vec![Vec::new(); shape.sets as usize],
+            keys: vec![0; shape.sets as usize * CONFLICT_DEPTH],
+            lens: vec![0; shape.sets as usize],
         }
     }
 
@@ -154,18 +157,50 @@ impl SetTracker {
     /// depth (either way a miss at any associativity ≤ the depth).
     #[inline]
     fn access(&mut self, key: u64) -> Option<usize> {
-        let set = &mut self.sets[(key & self.mask) as usize];
-        if let Some(pos) = set.iter().position(|&k| k == key) {
-            let k = set.remove(pos);
-            set.insert(0, k);
-            Some(pos)
-        } else {
-            if set.len() == CONFLICT_DEPTH {
-                set.pop();
+        let set = (key & self.mask) as usize;
+        let row = &mut self.keys[set * CONFLICT_DEPTH..][..CONFLICT_DEPTH];
+        let len = &mut self.lens[set];
+        match move_to_front(row, usize::from(*len), key) {
+            Mru::Hit(d) => Some(d),
+            Mru::Miss(evicted) => {
+                if evicted.is_none() {
+                    *len += 1;
+                }
+                None
             }
-            set.insert(0, key);
-            None
         }
+    }
+}
+
+/// Outcome of [`move_to_front`].
+enum Mru {
+    /// The key was live at this position, its distance within the list.
+    Hit(usize),
+    /// The key was absent and now leads the list; a full list pushed
+    /// its last key, carried here, off the end.
+    Miss(Option<u64>),
+}
+
+/// Move `key` to the front of the MRU-first list `list[..len]`, whose
+/// capacity is `list.len()`. On a miss the caller grows `len` by one
+/// unless the list was full.
+#[inline]
+fn move_to_front(list: &mut [u64], len: usize, key: u64) -> Mru {
+    // Shift while scanning: each entry takes its predecessor's key until
+    // the key itself turns up.
+    let mut carry = key;
+    for (d, slot) in list[..len].iter_mut().enumerate() {
+        let k = std::mem::replace(slot, carry);
+        if k == key {
+            return Mru::Hit(d);
+        }
+        carry = k;
+    }
+    if len < list.len() {
+        list[len] = carry;
+        Mru::Miss(None)
+    } else {
+        Mru::Miss(Some(carry))
     }
 }
 
@@ -302,21 +337,38 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 // ---------------------------------------------------------------------
 // Exact LRU stack-distance tracking.
 
+/// Keys the MRU front of a [`ReuseTracker`] holds.
+const FRONT: usize = 32;
+
+/// Fewest slots the rest of a [`ReuseTracker`] is sized to.
+const MIN_SLOTS: usize = 256;
+
 /// Exact per-thread LRU stack distances over a key stream (keys are
 /// line/page numbers). `access` returns the number of *distinct other*
 /// keys touched since the key's previous access (`None` on first touch),
 /// so a fully-associative LRU structure of capacity `C` hits iff the
 /// distance is `< C`.
 ///
-/// Implementation: each key's latest access occupies one time slot; a
-/// Fenwick tree over slots counts, in `O(log n)`, how many keys were
-/// last accessed after a given slot. Slots are renumbered (compacted)
-/// when exhausted, amortizing to near-constant per access.
+/// Implementation: the 32 most recent keys (the *front*) sit in an
+/// MRU-first array, so a reuse at distance `d < 32` costs a `d`-step
+/// scan. A key pushed off the front gets the next *slot*: slots number
+/// keys in the order they left the front, which is the order of their
+/// last access. Live slots are a bitset with a Fenwick tree over its
+/// 64-slot words, so a deeper reuse has distance 32 + the live slots
+/// newer than its own, counted in `O(log(slots / 64))`. When the slots
+/// run out they are renumbered in place by rank, amortizing to
+/// near-constant per access.
 pub struct ReuseTracker {
-    last: FxMap<u64, u32>,
+    front: [u64; FRONT],
+    front_len: usize,
+    /// Slot of every key not in the front.
+    slot: FxMap<u64, u32>,
+    /// One bit per slot, set while its key is live.
+    live: Vec<u64>,
+    /// Fenwick tree (1-based) over the popcounts of `live`'s words.
     tree: Vec<u32>,
-    cap: u32,
-    time: u32,
+    /// Next slot to hand out; `live.len() * 64` when exhausted.
+    next: usize,
 }
 
 impl Default for ReuseTracker {
@@ -328,75 +380,117 @@ impl Default for ReuseTracker {
 impl ReuseTracker {
     /// Empty tracker.
     pub fn new() -> Self {
-        let cap = 1 << 16;
         ReuseTracker {
-            last: FxMap::default(),
-            tree: vec![0; cap as usize + 1],
-            cap,
-            time: 0,
+            front: [0; FRONT],
+            front_len: 0,
+            slot: FxMap::default(),
+            live: Vec::new(),
+            tree: Vec::new(),
+            next: 0,
         }
-    }
-
-    #[inline]
-    fn inc(&mut self, mut i: u32) {
-        while i <= self.cap {
-            self.tree[i as usize] += 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    #[inline]
-    fn dec(&mut self, mut i: u32) {
-        while i <= self.cap {
-            self.tree[i as usize] -= 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    #[inline]
-    fn prefix(&self, mut i: u32) -> u32 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i as usize];
-            i -= i & i.wrapping_neg();
-        }
-        s
     }
 
     /// Record an access; returns the reuse distance, `None` when cold.
+    #[inline]
     pub fn access(&mut self, key: u64) -> Option<u64> {
-        if self.time == self.cap {
-            self.compact();
+        match move_to_front(&mut self.front, self.front_len, key) {
+            Mru::Hit(d) => Some(d as u64),
+            // The rest is empty while the front has room.
+            Mru::Miss(None) => {
+                self.front_len += 1;
+                None
+            }
+            Mru::Miss(Some(evicted)) => self.rest_access(key, evicted),
         }
-        let dist = self.last.get(&key).copied().map(|s| {
-            let d = self.prefix(self.time) - self.prefix(s);
-            self.dec(s);
-            u64::from(d)
+    }
+
+    /// An access that missed the full front, which pushed `evicted` off.
+    /// Kept out of line so the front path stays small where
+    /// `ThreadRecorder::data` inlines seven trackers.
+    #[inline(never)]
+    fn rest_access(&mut self, key: u64, evicted: u64) -> Option<u64> {
+        let dist = self.slot.remove(&key).map(|s| {
+            let (w, bit) = (s as usize / 64, 1u64 << (s % 64));
+            self.live[w] &= !bit;
+            self.add(w, -1);
+            let older = self.prefix(w) + (self.live[w] & (bit - 1)).count_ones();
+            (FRONT + self.slot.len()) as u64 - u64::from(older)
         });
-        self.time += 1;
-        let t = self.time;
-        self.inc(t);
-        self.last.insert(key, t);
+        self.push(evicted);
         dist
     }
 
     /// Number of distinct keys seen so far.
     pub fn distinct(&self) -> usize {
-        self.last.len()
+        self.front_len + self.slot.len()
     }
 
-    fn compact(&mut self) {
-        let mut pairs: Vec<(u32, u64)> = self.last.iter().map(|(&k, &s)| (s, k)).collect();
-        pairs.sort_unstable();
-        let live = pairs.len() as u32;
-        self.cap = live.saturating_mul(2).max(1 << 16).next_power_of_two();
-        self.tree = vec![0; self.cap as usize + 1];
-        self.time = live;
-        for (i, &(_, key)) in pairs.iter().enumerate() {
-            let slot = i as u32 + 1;
-            self.inc(slot);
-            self.last.insert(key, slot);
+    /// Live slots in words `..w`.
+    #[inline]
+    fn prefix(&self, mut w: usize) -> u32 {
+        let mut s = 0;
+        while w > 0 {
+            s += self.tree[w];
+            w &= w - 1;
         }
+        s
+    }
+
+    /// Add `delta` to word `w`'s live count.
+    #[inline]
+    fn add(&mut self, w: usize, delta: i32) {
+        let mut i = w + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Give `key`, just pushed off the front, the next slot.
+    #[inline]
+    fn push(&mut self, key: u64) {
+        if self.next == self.live.len() * 64 {
+            self.renumber();
+        }
+        let s = self.next;
+        self.next += 1;
+        self.live[s / 64] |= 1 << (s % 64);
+        self.add(s / 64, 1);
+        self.slot.insert(key, s as u32);
+    }
+
+    /// Renumber the `n` live slots to `0..n` by rank, keeping their
+    /// order, in a bitset resized to `4n` slots (at least `MIN_SLOTS`).
+    fn renumber(&mut self) {
+        // tree[w] := live slots in words ..w, the rank of word w's
+        // first slot.
+        let mut below = 0;
+        for (w, bits) in self.live.iter().enumerate() {
+            self.tree[w] = below;
+            below += bits.count_ones();
+        }
+        for s in self.slot.values_mut() {
+            let (w, b) = (*s as usize / 64, *s % 64);
+            *s = self.tree[w] + (self.live[w] & ((1 << b) - 1)).count_ones();
+        }
+        let n = self.slot.len();
+        let words = (4 * n).max(MIN_SLOTS).div_ceil(64);
+        // Slots are stored as `u32`.
+        assert!(words <= 1 << 26, "reuse tracker needs more than 2^32 slots");
+        self.live.clear();
+        self.live.resize(words, 0);
+        self.live[..n / 64].fill(u64::MAX);
+        self.live[n / 64] = (1 << (n % 64)) - 1;
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend(self.live.iter().map(|w| w.count_ones()));
+        for i in 1..=words {
+            let j = i + (i & i.wrapping_neg());
+            if j <= words {
+                self.tree[j] += self.tree[i];
+            }
+        }
+        self.next = n;
     }
 }
 
@@ -1084,12 +1178,17 @@ fn req_num(j: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("key {key:?} is not a number"))
 }
 
+/// 2^53: every integer up to it is exact in an `f64`.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
+/// A JSON number that is a non-negative integer exact in an `f64`.
+fn as_uint(j: &Json) -> Option<u64> {
+    let n = j.as_num()?;
+    (n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT).then_some(n as u64)
+}
+
 fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    let n = req_num(j, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("key {key:?} is not a non-negative integer"));
-    }
-    Ok(n as u64)
+    as_uint(req(j, key)?).ok_or_else(|| format!("key {key:?} is not a non-negative integer"))
 }
 
 fn req_str(j: &Json, key: &str) -> Result<String, String> {
@@ -1105,19 +1204,35 @@ fn req_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| format!("key {key:?} is not an array"))
 }
 
-fn read_hist(j: &Json) -> Result<ReuseHistogram, String> {
-    let cold = req_u64(j, "c")?;
-    let mut buckets = Vec::new();
-    for pair in req_arr(j, "b")? {
-        let p = pair.as_arr().ok_or("histogram bucket is not a pair")?;
-        if p.len() != 2 {
-            return Err("histogram bucket is not a pair".into());
+/// Sparse `(index, count)` pairs as a capture writes them: integer
+/// indices below `limit`, strictly increasing, each with a positive
+/// integer count. Anything else would index past the bucket table or
+/// double-count, so it is refused rather than evaluated.
+fn read_pairs(j: &Json, key: &str, limit: usize) -> Result<Vec<(u32, u64)>, String> {
+    let mut out: Vec<(u32, u64)> = Vec::new();
+    for pair in req_arr(j, key)? {
+        let Some([idx, n]) = pair.as_arr() else {
+            return Err(format!("key {key:?}: entry is not a pair"));
+        };
+        let idx = as_uint(idx)
+            .filter(|&i| i < limit as u64)
+            .ok_or_else(|| format!("key {key:?}: index is not an integer below {limit}"))?;
+        let n = as_uint(n)
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("key {key:?}: count is not a positive integer"))?;
+        if out.last().is_some_and(|&(prev, _)| u64::from(prev) >= idx) {
+            return Err(format!("key {key:?}: indices are not strictly increasing"));
         }
-        let idx = p[0].as_num().ok_or("bucket index not a number")? as u32;
-        let n = p[1].as_num().ok_or("bucket count not a number")? as u64;
-        buckets.push((idx, n));
+        out.push((idx as u32, n));
     }
-    Ok(ReuseHistogram { cold, buckets })
+    Ok(out)
+}
+
+fn read_hist(j: &Json) -> Result<ReuseHistogram, String> {
+    Ok(ReuseHistogram {
+        cold: req_u64(j, "c")?,
+        buckets: read_pairs(j, "b", NUM_BUCKETS)?,
+    })
 }
 
 fn read_hist3(j: &Json, key: &str) -> Result<[ReuseHistogram; MODES], String> {
@@ -1133,18 +1248,10 @@ fn read_hist3(j: &Json, key: &str) -> Result<[ReuseHistogram; MODES], String> {
 }
 
 fn read_conflict(j: &Json) -> Result<ConflictHist, String> {
-    let far = req_u64(j, "f")?;
-    let mut d = Vec::new();
-    for pair in req_arr(j, "d")? {
-        let p = pair.as_arr().ok_or("conflict bucket is not a pair")?;
-        if p.len() != 2 {
-            return Err("conflict bucket is not a pair".into());
-        }
-        let dist = p[0].as_num().ok_or("conflict distance not a number")? as u32;
-        let n = p[1].as_num().ok_or("conflict count not a number")? as u64;
-        d.push((dist, n));
-    }
-    Ok(ConflictHist { far, d })
+    Ok(ConflictHist {
+        far: req_u64(j, "f")?,
+        d: read_pairs(j, "d", CONFLICT_DEPTH)?,
+    })
 }
 
 fn read_conflicts(j: &Json) -> Result<Vec<[ConflictHist; MODES]>, String> {
@@ -1177,7 +1284,7 @@ fn read_phase_thread(j: &Json) -> Result<PhaseThread, String> {
     }
     let mut acc = [0u64; MODES];
     for (i, a) in acc_arr.iter().enumerate() {
-        acc[i] = a.as_num().ok_or("acc entry not a number")? as u64;
+        acc[i] = as_uint(a).ok_or("acc entry is not a non-negative integer")?;
     }
     let sp_arr = req_arr(j, "sp")?;
     if sp_arr.len() != NUM_SHIFTS {
@@ -1185,7 +1292,7 @@ fn read_phase_thread(j: &Json) -> Result<PhaseThread, String> {
     }
     let mut stream_pages = [0u64; NUM_SHIFTS];
     for (i, n) in sp_arr.iter().enumerate() {
-        stream_pages[i] = n.as_num().ok_or("sp entry not a number")? as u64;
+        stream_pages[i] = as_uint(n).ok_or("sp entry is not a non-negative integer")?;
     }
     let pg_arr = req_arr(j, "pg")?;
     if pg_arr.len() != NUM_SHIFTS {
@@ -1246,24 +1353,58 @@ mod tests {
         out
     }
 
+    /// Deterministic pseudo-random draws below `n`.
+    fn draws(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        }
+    }
+
     #[test]
     fn tracker_matches_naive_reference() {
         // Deterministic pseudo-random key stream with heavy reuse.
-        let mut state = 0x1234_5678_u64;
-        let keys: Vec<u64> = (0..2000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) % 97
-            })
+        let mut next = draws(0x1234_5678);
+        let small: Vec<u64> = (0..2000).map(|_| next(97)).collect();
+        // A hot set smaller than the front mixed with scans over a few
+        // thousand line keys of a 48-bit address space: distances
+        // straddle the front, and the rest is renumbered several times.
+        let hot: Vec<u64> = (0..12)
+            .map(|i| (0xffff_ffff_f000 - i * 4096) >> 6)
             .collect();
-        let want = naive_distances(&keys);
-        let mut tr = ReuseTracker::new();
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(tr.access(k), want[i], "access {i} key {k}");
+        let mut mixed = Vec::new();
+        while mixed.len() < 10_000 {
+            let (start, len) = (next(6000), 200 + next(2800));
+            for j in start..start + len {
+                mixed.push((0x7f3a_0000_0000 + j * 192) >> 6);
+                if next(3) == 0 {
+                    mixed.push(hot[next(12) as usize]);
+                }
+            }
         }
-        assert_eq!(tr.distinct(), 97);
+        assert!(mixed.iter().any(|&k| k > 1 << 41));
+        for (name, keys) in [("small", &small), ("mixed", &mixed)] {
+            let want = naive_distances(keys);
+            let mut tr = ReuseTracker::new();
+            let mut seen = std::collections::HashSet::new();
+            let (mut renumbered, mut straddled) = (0, [false; 2]);
+            for (i, &k) in keys.iter().enumerate() {
+                let before = tr.next;
+                assert_eq!(tr.access(k), want[i], "{name}: access {i} key {k}");
+                seen.insert(k);
+                assert_eq!(tr.distinct(), seen.len(), "{name}: access {i}");
+                renumbered += usize::from(tr.next < before);
+                if let Some(d) = want[i] {
+                    straddled[usize::from(d >= FRONT as u64)] = true;
+                }
+            }
+            if name == "mixed" {
+                assert_eq!(straddled, [true; 2], "distances on both sides of the front");
+                assert!(renumbered >= 3, "rest renumbered {renumbered} times");
+            }
+        }
     }
 
     #[test]
@@ -1278,6 +1419,47 @@ mod tests {
                     assert_eq!(d, Some(49), "round {round} k {k}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn set_tracker_matches_naive_per_set_lru() {
+        let mut next = draws(0x9e37_79b9);
+        for shape in CONFLICT_SHAPES {
+            let sets = u64::from(shape.sets);
+            // Three hot sets get 48 keys each, more than the tracked
+            // depth; a sprinkle of keys lands anywhere.
+            let hot = [0, 1, sets - 1];
+            let mut tr = SetTracker::new(shape);
+            let mut naive: Vec<Vec<u64>> = vec![Vec::new(); shape.sets as usize];
+            let mut deep = 0;
+            for i in 0..6000 {
+                let key = if next(8) == 0 {
+                    next(1 << 36)
+                } else {
+                    hot[next(3) as usize] + sets * (next(48) << 8)
+                };
+                // Reference: the per-set MRU `Vec` body the flat tracker
+                // replaced.
+                let set = &mut naive[(key & (sets - 1)) as usize];
+                let want = if let Some(pos) = set.iter().position(|&k| k == key) {
+                    let k = set.remove(pos);
+                    set.insert(0, k);
+                    Some(pos)
+                } else {
+                    if set.len() == CONFLICT_DEPTH {
+                        set.pop();
+                        deep += 1;
+                    }
+                    set.insert(0, key);
+                    None
+                };
+                assert_eq!(tr.access(key), want, "{shape:?}: access {i} key {key}");
+            }
+            assert!(
+                deep > 100,
+                "{shape:?}: only {deep} accesses overflowed the depth"
+            );
         }
     }
 
@@ -1336,8 +1518,8 @@ mod tests {
         assert_eq!(ph.threads[0].line[MODE_STREAM].buckets, vec![(0, 1)]);
     }
 
-    #[test]
-    fn json_round_trip_is_lossless() {
+    /// A small two-phase profile with reuse and conflict histograms.
+    fn sample_profile() -> StreamProfile {
         let mut recs = vec![ThreadRecorder::new()];
         let mut agg = PhaseAggregator::new();
         agg.region_enter("a:b", &mut recs);
@@ -1349,11 +1531,44 @@ mod tests {
         agg.flush(&mut recs, true);
         agg.region_exit(&mut recs);
         recs[0].data(0x40_0000, false, MODE_LATENCY);
-        let p = agg.finish(&mut recs, "mg", "W", -3.5e-2);
+        agg.finish(&mut recs, "mg", "W", -3.5e-2)
+    }
+
+    #[test]
+    fn json_round_trip_is_lossless() {
+        let p = sample_profile();
         let json = p.to_json();
         let back = StreamProfile::from_json(&json).expect("parses");
         assert_eq!(p, back);
         assert_eq!(back.checksum.to_bits(), p.checksum.to_bits());
+    }
+
+    #[test]
+    fn histograms_no_capture_can_produce_are_rejected() {
+        let json = sample_profile().to_json();
+        // Rewrite the first `index,count` pair listed under `key`.
+        type Pair = fn(&str, &str) -> String;
+        let patch = |key: &str, pair: Pair| {
+            let at = json.find(&format!("\"{key}\":[[")).unwrap() + key.len() + 5;
+            let end = at + json[at..].find(']').unwrap();
+            let (idx, n) = json[at..end].split_once(',').unwrap();
+            format!("{}{}{}", &json[..at], pair(idx, n), &json[end..])
+        };
+        assert_eq!(patch("b", |i, n| format!("{i},{n}")), json);
+        let cases: [(&str, Pair); 7] = [
+            ("b", |_, n| format!("600,{n}")),
+            ("b", |_, n| format!("-5,{n}")),
+            ("b", |_, n| format!("1.5,{n}")),
+            ("b", |i, n| format!("{i},{n}],[{i},{n}")),
+            ("b", |i, _| format!("{i},0")),
+            ("d", |_, n| format!("{CONFLICT_DEPTH},{n}")),
+            ("d", |i, n| format!("{i},{n}],[{i},{n}")),
+        ];
+        for (case, (key, pair)) in cases.into_iter().enumerate() {
+            let err = StreamProfile::from_json(&patch(key, pair))
+                .expect_err(&format!("case {case} must not parse"));
+            assert!(err.contains(&format!("key {key:?}")), "case {case}: {err}");
+        }
     }
 
     #[test]

@@ -52,6 +52,44 @@ fn reloaded_profile_predicts_byte_identically() {
     assert!(before.iter().all(|r| r.cycles > 0));
 }
 
+/// 64-bit FNV-1a, to pin a profile's JSON by value.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The class-S profiles the capture produces, pinned by JSON length and
+/// FNV-1a 64, so a faster capture must keep every byte. CG at 8 threads
+/// captures on the Xeon preset (more threads than the Opteron has
+/// contexts). These constants change only together with
+/// [`ENGINE_VERSION`](lpomp::prof::ENGINE_VERSION).
+#[test]
+fn captured_profiles_are_pinned_byte_for_byte() {
+    let pins = [
+        (AppKind::Cg, 4, 37_369, 0x19ae_8449_208f_6a8d_u64),
+        (AppKind::Mg, 4, 35_364, 0x79a1_1501_3cd9_bb08),
+        (AppKind::Sp, 4, 28_155, 0x0e75_bbac_af56_8963),
+        (AppKind::Cg, 8, 70_786, 0xca63_6d11_b0c4_5f83),
+    ];
+    let mut drift = Vec::new();
+    for (app, threads, len, fnv) in pins {
+        let json = capture_profile(app, Class::S, threads).to_json();
+        let got = (json.len(), fnv1a64(json.as_bytes()));
+        if got != (len, fnv) {
+            drift.push(format!(
+                "{app} S@{threads}: {} bytes, FNV {:#018x}; pinned {len} bytes, FNV {fnv:#018x}",
+                got.0, got.1
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "captured profiles drifted:\n{}",
+        drift.join("\n")
+    );
+}
+
 #[test]
 fn disk_cache_serves_the_same_predictions() {
     // The same property through the ProfileCache disk layer end to end.
