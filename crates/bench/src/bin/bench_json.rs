@@ -24,7 +24,7 @@ use std::time::Instant;
 use lpomp::prelude::*;
 use lpomp_bench::class_from_args;
 use lpomp_core::cached_profile;
-use lpomp_prof::escape_json;
+use lpomp_prof::JsonWriter;
 
 fn main() {
     let class = class_from_args();
@@ -82,21 +82,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let (serial_total, parallel_total) = (sweeps[0].1, sweeps[1].1);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fig4_sweep\",\n");
-    out.push_str(&format!("  \"class\": \"{class}\",\n"));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str(&format!(
-        "  \"serial_workers\": 1,\n  \"parallel_workers\": {workers},\n"
-    ));
-    out.push_str(&format!(
-        "  \"serial_total_seconds\": {serial_total:.3},\n  \"parallel_total_seconds\": {parallel_total:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"parallel_speedup\": {:.3},\n",
-        serial_total / parallel_total
-    ));
     // Per-config backend speedup: serial cycle host time over analytic
     // host time, the like-for-like single-worker comparison.
     let serial_timed = &sweeps[0].2;
@@ -107,44 +92,51 @@ fn main() {
         .collect();
     let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
     let min_speedup = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
-    out.push_str(&format!(
-        "  \"analytic_capture_seconds\": {capture_total:.3},\n  \
-         \"analytic_total_seconds\": {analytic_total:.6},\n  \
-         \"analytic_mean_config_speedup\": {mean_speedup:.1},\n  \
-         \"analytic_min_config_speedup\": {min_speedup:.1},\n"
-    ));
-    out.push_str(&format!(
-        "  \"records_identical\": true,\n  \"note\": \"each config is an independent deterministic simulation; \
-         worker count changes host time only. Speedup is bounded by host_cpus ({host_cpus} here); \
-         a >=2x class-W speedup is expected on >=4 cores. Analytic speedups compare one config's serial \
-         cycle simulation against its analytic evaluation, after the one-time capture pass.\",\n"
-    ));
-    out.push_str("  \"configs\": [\n");
-    let (_, _, timed) = &sweeps[1];
-    for (i, ((app, builder), (rec, host_s))) in grid.iter().zip(timed.iter()).enumerate() {
-        let (ana_rec, ana_s) = &analytic[i];
-        let cfg = builder.config();
-        let head = format!(
-            "\"machine\": \"{}\", \"app\": \"{}\", \"policy\": \"{}\", \"threads\": {}",
-            escape_json(cfg.machine.name),
-            escape_json(app.name()),
-            escape_json(cfg.policy.label()),
-            cfg.threads,
-        );
-        out.push_str(&format!(
-            "    {{{head}, \"backend\": \"cycle\", \"host_seconds\": {:.3}, \"sim_seconds\": {:.6}}},\n",
-            host_s, rec.seconds,
+    let mut w = JsonWriter::with_capacity(64 * 1024);
+    w.obj(|w| {
+        w.key("bench").str("fig4_sweep");
+        w.key("class").str(&class.to_string());
+        w.key("host_cpus").uint(host_cpus as u64);
+        w.key("serial_workers").uint(1);
+        w.key("parallel_workers").uint(workers as u64);
+        w.key("serial_total_seconds").num(serial_total);
+        w.key("parallel_total_seconds").num(parallel_total);
+        w.key("parallel_speedup").num(serial_total / parallel_total);
+        w.key("analytic_capture_seconds").num(capture_total);
+        w.key("analytic_total_seconds").num(analytic_total);
+        w.key("analytic_mean_config_speedup").num(mean_speedup);
+        w.key("analytic_min_config_speedup").num(min_speedup);
+        w.key("records_identical").bool(true);
+        w.key("note").str(&format!(
+            "each config is an independent deterministic simulation; worker count changes \
+             host time only. Speedup is bounded by host_cpus ({host_cpus} here); a >=2x \
+             class-W speedup is expected on >=4 cores. Analytic speedups compare one \
+             config's serial cycle simulation against its analytic evaluation, after the \
+             one-time capture pass."
         ));
-        out.push_str(&format!(
-            "    {{{head}, \"backend\": \"analytic\", \"host_seconds\": {:.6}, \"sim_seconds\": {:.6}, \
-             \"speedup\": {:.1}}}{}\n",
-            ana_s,
-            ana_rec.seconds,
-            speedups[i],
-            if i + 1 == grid.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+        w.key("configs").arr(|w| {
+            let (_, _, timed) = &sweeps[1];
+            for (i, ((app, builder), (rec, host_s))) in grid.iter().zip(timed).enumerate() {
+                let (ana_rec, ana_s) = &analytic[i];
+                let cfg = builder.config();
+                let head = |w: &mut JsonWriter, backend: &str, host_s: f64, sim_s: f64| {
+                    w.key("machine").str(cfg.machine.name);
+                    w.key("app").str(app.name());
+                    w.key("policy").str(cfg.policy.label());
+                    w.key("threads").uint(cfg.threads as u64);
+                    w.key("backend").str(backend);
+                    w.key("host_seconds").num(host_s);
+                    w.key("sim_seconds").num(sim_s);
+                };
+                w.obj(|w| head(w, "cycle", *host_s, rec.seconds));
+                w.obj(|w| {
+                    head(w, "analytic", *ana_s, ana_rec.seconds);
+                    w.key("speedup").num(speedups[i]);
+                });
+            }
+        });
+    });
+    let out = w.finish() + "\n";
     if let Err(e) = std::fs::write("BENCH_sweep.json", &out) {
         eprintln!("error: could not write BENCH_sweep.json: {e}");
         std::process::exit(1);

@@ -27,7 +27,7 @@
 
 use lpomp::prelude::*;
 use lpomp_bench::{class_from_args, sweep_cli_from_args};
-use lpomp_prof::Json;
+use lpomp_prof::{Json, JsonWriter};
 use lpomp_vm::{age_heap, PageSize};
 
 const SEVERITIES: [f64; 3] = [0.0, 0.5, 1.0];
@@ -55,54 +55,47 @@ enum Cell {
 }
 
 impl GridCell for Cell {
-    fn to_store_json(&self) -> String {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Cell::Prealloc(r) => r.to_store_json(),
-            Cell::Aged(a) => format!(
-                "{{\"kind\":\"aged\",\"label\":\"{}\",\"severity\":{},\"frag_index\":{},\
-                 \"run1\":{},\"run2\":{},\"misses2\":{},\"blocked\":{},\"collapsed\":{},\
-                 \"compacted\":{},\"shootdowns\":{}}}",
-                a.label,
-                a.severity,
-                a.frag_index,
-                a.run1,
-                a.run2,
-                a.misses2,
-                a.blocked,
-                a.collapsed,
-                a.compacted,
-                a.shootdowns
-            ),
+            Cell::Prealloc(r) => r.write_json(w),
+            Cell::Aged(a) => {
+                w.key("kind").str("aged");
+                w.key("label").str(a.label);
+                w.key("severity").num(a.severity);
+                w.key("frag_index").num(a.frag_index);
+                w.key("run1").num(a.run1);
+                w.key("run2").num(a.run2);
+                w.key("misses2").uint(a.misses2);
+                w.key("blocked").uint(a.blocked);
+                w.key("collapsed").uint(a.collapsed);
+                w.key("compacted").uint(a.compacted);
+                w.key("shootdowns").uint(a.shootdowns);
+            }
         }
     }
 
-    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self> {
-        let num = |k: &str| j.get(k).and_then(Json::as_num);
-        let int = |k: &str| num(k).map(|n| n as u64);
+    fn from_store_json(j: &Json, key: &StoreKey) -> Result<Self, String> {
         match j.get("kind").and_then(Json::as_str) {
-            None => Some(Cell::Prealloc(Box::new(RunRecord::from_store_json(
+            None => Ok(Cell::Prealloc(Box::new(RunRecord::from_store_json(
                 j, key,
             )?))),
-            Some("aged") => {
-                let label = match j.get("label").and_then(Json::as_str)? {
+            Some("aged") => Ok(Cell::Aged(Aged {
+                label: match j.string("label")? {
                     "one-shot THP" => "one-shot THP",
                     "daemon+compaction" => "daemon+compaction",
-                    _ => return None,
-                };
-                Some(Cell::Aged(Aged {
-                    label,
-                    severity: num("severity")?,
-                    frag_index: num("frag_index")?,
-                    run1: num("run1")?,
-                    run2: num("run2")?,
-                    misses2: int("misses2")?,
-                    blocked: int("blocked")?,
-                    collapsed: int("collapsed")?,
-                    compacted: int("compacted")?,
-                    shootdowns: int("shootdowns")?,
-                }))
-            }
-            _ => None,
+                    other => return Err(format!("unknown scenario {other:?}")),
+                },
+                severity: j.num("severity")?,
+                frag_index: j.num("frag_index")?,
+                run1: j.num("run1")?,
+                run2: j.num("run2")?,
+                misses2: j.uint("misses2")?,
+                blocked: j.uint("blocked")?,
+                collapsed: j.uint("collapsed")?,
+                compacted: j.uint("compacted")?,
+                shootdowns: j.uint("shootdowns")?,
+            })),
+            Some(other) => Err(format!("unknown cell kind {other:?}")),
         }
     }
 }
@@ -305,4 +298,63 @@ fn main() {
         fnum(worst_daemon.run2, 4),
         fnum(prealloc.seconds, 4),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stored_aged_cells_are_pinned_and_reject_inexact_counts() {
+        let aged = Cell::Aged(Aged {
+            label: "daemon+compaction",
+            severity: 0.5,
+            frag_index: 0.1 + 1.0 / 3.0,
+            run1: 0.25,
+            run2: 0.125,
+            misses2: 123_456_789,
+            blocked: 1,
+            collapsed: 2,
+            compacted: 3,
+            shootdowns: 4,
+        });
+        let dir = std::env::temp_dir().join(format!("lpomp-ext-frag-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).unwrap();
+        // The payload's bytes, as a JSONL line carries them.
+        let jsonl = dir.join("aged.jsonl");
+        JsonlSink::create(&jsonl).unwrap().emit(&aged, false);
+        assert_eq!(
+            std::fs::read_to_string(&jsonl).unwrap(),
+            concat!(
+                r#"{"kind":"aged","label":"daemon+compaction","severity":0.5,"#,
+                r#""frag_index":0.43333333333333335,"run1":0.25,"run2":0.125,"#,
+                r#""misses2":123456789,"blocked":1,"collapsed":2,"compacted":3,"#,
+                r#""shootdowns":4,"cached":false}"#,
+                "\n",
+            )
+        );
+        // A count that is not an exact non-negative integer misses.
+        let key = StoreKey::new(
+            &opteron_2x2(),
+            AppKind::Cg,
+            Class::S,
+            PagePolicy::Small4K,
+            4,
+            RunOpts::default(),
+            BackendKind::CycleExact,
+        )
+        .with_variant("aged:severity=0.5");
+        assert!(store.save_cell(&key, &aged).unwrap());
+        let path = dir.join(key.file_name());
+        let good = std::fs::read_to_string(&path).unwrap();
+        assert!(store.load_cell::<Cell>(&key).is_some());
+        for misses in ["-5", "1.5", "1e300"] {
+            let bad = good.replace("\"misses2\":123456789", &format!("\"misses2\":{misses}"));
+            assert_ne!(bad, good);
+            std::fs::write(&path, bad).unwrap();
+            assert!(store.load_cell::<Cell>(&key).is_none(), "misses2 {misses}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -41,7 +41,7 @@
 
 use lpomp::prelude::*;
 use lpomp_bench::{class_from_args, maybe_write_csv, sweep_cli_from_args};
-use lpomp_prof::Json;
+use lpomp_prof::{Json, JsonWriter};
 use lpomp_vm::NumaDaemonConfig;
 
 /// Deque chunk granularity (iterations) for dynamic and hierarchical
@@ -149,44 +149,36 @@ struct Row {
 }
 
 impl GridCell for Row {
-    fn to_store_json(&self) -> String {
-        format!(
-            "{{\"seconds\":{},\"cycles\":{},\"checksum\":{},\"verified\":{},\
-             \"steal_local\":{},\"steal_remote\":{},\"rehomes\":{},\
-             \"affinity_hits\":{},\"dram_local\":{},\"dram_remote\":{},\
-             \"migrated\":{}}}",
-            self.seconds,
-            self.cycles,
-            self.checksum,
-            self.verified,
-            self.steal_local,
-            self.steal_remote,
-            self.rehomes,
-            self.affinity_hits,
-            self.dram_local,
-            self.dram_remote,
-            self.migrated
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.key("seconds").num(self.seconds);
+        w.key("cycles").uint(self.cycles);
+        w.key("checksum").num(self.checksum);
+        w.key("verified").bool(self.verified);
+        w.key("steal_local").uint(self.steal_local);
+        w.key("steal_remote").uint(self.steal_remote);
+        w.key("rehomes").uint(self.rehomes);
+        w.key("affinity_hits").uint(self.affinity_hits);
+        w.key("dram_local").uint(self.dram_local);
+        w.key("dram_remote").uint(self.dram_remote);
+        w.key("migrated").uint(self.migrated);
     }
 
-    fn from_store_json(j: &Json, _key: &StoreKey) -> Option<Self> {
-        let num = |k: &str| j.get(k).and_then(Json::as_num);
-        let int = |k: &str| num(k).map(|n| n as u64);
-        Some(Row {
-            seconds: num("seconds")?,
-            cycles: int("cycles")?,
-            checksum: num("checksum")?,
-            verified: match j.get("verified")? {
+    fn from_store_json(j: &Json, _key: &StoreKey) -> Result<Self, String> {
+        Ok(Row {
+            seconds: j.num("seconds")?,
+            cycles: j.uint("cycles")?,
+            checksum: j.num("checksum")?,
+            verified: match j.member("verified")? {
                 Json::Bool(b) => *b,
-                _ => return None,
+                _ => return Err("verified is not a bool".into()),
             },
-            steal_local: int("steal_local")?,
-            steal_remote: int("steal_remote")?,
-            rehomes: int("rehomes")?,
-            affinity_hits: int("affinity_hits")?,
-            dram_local: int("dram_local")?,
-            dram_remote: int("dram_remote")?,
-            migrated: int("migrated")?,
+            steal_local: j.uint("steal_local")?,
+            steal_remote: j.uint("steal_remote")?,
+            rehomes: j.uint("rehomes")?,
+            affinity_hits: j.uint("affinity_hits")?,
+            dram_local: j.uint("dram_local")?,
+            dram_remote: j.uint("dram_remote")?,
+            migrated: j.uint("migrated")?,
         })
     }
 }
@@ -376,4 +368,64 @@ fn main() {
          node holds it — large pages trade away scheduling flexibility\n\
          exactly as they trade away placement flexibility in E3v2.)"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stored_rows_are_pinned_and_reject_inexact_counts() {
+        let row = Row {
+            seconds: 0.1 + 1.0 / 3.0,
+            cycles: 123_456_789,
+            checksum: -2.5,
+            verified: true,
+            steal_local: 1,
+            steal_remote: 2,
+            rehomes: 3,
+            affinity_hits: 4,
+            dram_local: 5,
+            dram_remote: 6,
+            migrated: 7,
+        };
+        let dir = std::env::temp_dir().join(format!("lpomp-ext-sched-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).unwrap();
+        // The payload's bytes, as a JSONL line carries them.
+        let jsonl = dir.join("row.jsonl");
+        JsonlSink::create(&jsonl).unwrap().emit(&row, false);
+        assert_eq!(
+            std::fs::read_to_string(&jsonl).unwrap(),
+            concat!(
+                r#"{"seconds":0.43333333333333335,"cycles":123456789,"checksum":-2.5,"#,
+                r#""verified":true,"steal_local":1,"steal_remote":2,"rehomes":3,"#,
+                r#""affinity_hits":4,"dram_local":5,"dram_remote":6,"migrated":7,"#,
+                r#""cached":false}"#,
+                "\n",
+            )
+        );
+        // A count that is not an exact non-negative integer misses.
+        let key = StoreKey::new(
+            &opteron_2x2(),
+            AppKind::Cg,
+            Class::S,
+            PagePolicy::Small4K,
+            4,
+            RunOpts::default(),
+            BackendKind::CycleExact,
+        )
+        .with_variant("app=skew");
+        assert!(store.save_cell(&key, &row).unwrap());
+        let path = dir.join(key.file_name());
+        let good = std::fs::read_to_string(&path).unwrap();
+        assert!(store.load_cell::<Row>(&key).is_some());
+        for cycles in ["-5", "1.5", "1e300"] {
+            let bad = good.replace("\"cycles\":123456789", &format!("\"cycles\":{cycles}"));
+            assert_ne!(bad, good);
+            std::fs::write(&path, bad).unwrap();
+            assert!(store.load_cell::<Row>(&key).is_none(), "cycles {cycles}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

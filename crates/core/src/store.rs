@@ -45,7 +45,7 @@ use crate::policy::PagePolicy;
 use crate::system::{SystemBuilder, SystemConfig};
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
-use lpomp_prof::{escape_json, parse_json, Counters, Event, Json, ENGINE_VERSION};
+use lpomp_prof::{parse_json, Counters, Event, Json, JsonWriter, ENGINE_VERSION};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -189,18 +189,18 @@ impl StoreKey {
 /// fragmentation and scheduler tables) implement it over their own row
 /// structs.
 pub trait GridCell: Sized + Send {
-    /// Single-line JSON object encoding of the cell. `f64` fields must
-    /// use Rust's default (shortest-round-trip) formatting so the decode
-    /// is bit-exact.
-    fn to_store_json(&self) -> String;
+    /// Write the cell's members into the JSON object the caller opened
+    /// (the store envelope's `record`, or a JSON line).
+    fn write_json(&self, w: &mut JsonWriter);
 
-    /// Rebuild a cell from parsed [`Self::to_store_json`] output. `None`
-    /// on any mismatch — the grid treats it as a cache miss and re-runs.
-    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self>;
+    /// Rebuild a cell from the object [`Self::write_json`] filled. Any
+    /// mismatch is an error, which the grid treats as a cache miss and
+    /// re-runs.
+    fn from_store_json(j: &Json, key: &StoreKey) -> Result<Self, String>;
 
-    /// Whether [`Self::to_store_json`] captures the whole cell. A cell
-    /// that would replay with data missing returns `false`, and the
-    /// store never writes it.
+    /// Whether [`Self::write_json`] captures the whole cell. A cell that
+    /// would replay with data missing returns `false`, and the store
+    /// never writes it.
     fn storable(&self) -> bool {
         true
     }
@@ -209,131 +209,90 @@ pub trait GridCell: Sized + Send {
 /// The cacheable payload of a record is everything but the profiler
 /// attachments, so a record carrying `regions` or `trace` is not
 /// [storable](GridCell::storable). `f64` fields use Rust's
-/// shortest-round-trip formatting, so parsing them back with
-/// `str::parse::<f64>` is bit-exact — the property the byte-identical
-/// merge guarantee rests on.
+/// shortest-round-trip formatting, so parsing them back is bit-exact —
+/// the property the byte-identical merge guarantee rests on.
 impl GridCell for RunRecord {
-    fn to_store_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"app\":\"{}\",\"class\":\"{}\",\"machine\":\"{}\",\"policy\":\"{}\"",
-            self.app,
-            self.class,
-            self.machine,
-            self.policy.label()
-        );
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.key("app").str(self.app.name());
+        w.key("class").str(&self.class.to_string());
+        w.key("machine").str(self.machine);
+        w.key("policy").str(self.policy.label());
         if let PagePolicy::Mixed { threshold_bytes } = self.policy {
-            let _ = write!(out, ",\"mixed_threshold\":{threshold_bytes}");
+            w.key("mixed_threshold").uint(threshold_bytes);
         }
-        let _ = write!(
-            out,
-            ",\"threads\":{},\"backend\":\"{}\",\"seconds\":{},\"cycles\":{},\"checksum\":{}",
-            self.threads, self.backend, self.seconds, self.cycles, self.checksum
-        );
-        out.push_str(",\"verified\":");
+        w.key("threads").uint(self.threads as u64);
+        w.key("backend").str(self.backend);
+        w.key("seconds").num(self.seconds);
+        w.key("cycles").uint(self.cycles);
+        w.key("checksum").num(self.checksum);
         match self.verified {
-            None => out.push_str("null"),
-            Some(true) => out.push_str("true"),
-            Some(false) => out.push_str("false"),
+            None => w.key("verified").null(),
+            Some(b) => w.key("verified").bool(b),
         }
-        out.push_str(",\"counters\":{");
-        for (i, e) in Event::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.key("counters").obj(|w| {
+            for e in Event::ALL {
+                w.key(e.mnemonic()).uint(self.counters.get(e));
             }
-            let _ = write!(out, "\"{}\":{}", e.mnemonic(), self.counters.get(*e));
-        }
-        out.push_str("}}");
-        out
+        });
     }
 
-    fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self> {
-        record_from_json(j, key).ok()
+    /// Rebuild a record, cross-checking every identity field against
+    /// the key it was loaded under. The typed fields come from the *key*
+    /// (so e.g. `machine` stays the preset's `'static` string), the
+    /// measured fields from the JSON.
+    fn from_store_json(j: &Json, key: &StoreKey) -> Result<Self, String> {
+        let check = |field: &str, want: &str| -> Result<(), String> {
+            let got = j.string(field)?;
+            if got != want {
+                return Err(format!("{field}: stored {got:?} != requested {want:?}"));
+            }
+            Ok(())
+        };
+        check("app", key.app.name())?;
+        check("class", &key.class.to_string())?;
+        check("machine", key.machine)?;
+        check("policy", key.policy.label())?;
+        check("backend", key.backend.label())?;
+        if j.uint("threads")? != key.threads as u64 {
+            return Err("threads mismatch".into());
+        }
+        if let PagePolicy::Mixed { threshold_bytes } = key.policy {
+            if j.uint("mixed_threshold")? != threshold_bytes {
+                return Err("mixed_threshold mismatch".into());
+            }
+        }
+        let verified = match j.member("verified")? {
+            Json::Null => None,
+            Json::Bool(b) => Some(*b),
+            _ => return Err("verified is not a bool or null".into()),
+        };
+        let cj = j.member("counters")?;
+        let mut counters = Counters::new();
+        for e in Event::ALL {
+            // Strict: a counter the current engine knows but the file lacks
+            // means the file predates the event — reject, never default to 0.
+            counters.set(e, cj.uint(e.mnemonic())?);
+        }
+        Ok(RunRecord {
+            app: key.app,
+            class: key.class,
+            machine: key.machine,
+            policy: key.policy,
+            threads: key.threads,
+            seconds: j.num("seconds")?,
+            cycles: j.uint("cycles")?,
+            counters,
+            checksum: j.num("checksum")?,
+            verified,
+            regions: None,
+            trace: None,
+            backend: key.backend.label(),
+        })
     }
 
     fn storable(&self) -> bool {
         self.regions.is_none() && self.trace.is_none()
     }
-}
-
-fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
-    let n = j
-        .get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing number {key:?}"))?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("{key:?} is not a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn opt_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string {key:?}"))
-}
-
-/// Rebuild a record from its [`GridCell::to_store_json`] output,
-/// cross-checking every identity field against the key it was loaded
-/// under. The typed fields come from the *key* (so e.g. `machine` stays
-/// the preset's `'static` string), the measured fields from the JSON.
-fn record_from_json(j: &Json, key: &StoreKey) -> Result<RunRecord, String> {
-    let check = |field: &str, got: &str, want: &str| -> Result<(), String> {
-        if got != want {
-            return Err(format!("{field}: stored {got:?} != requested {want:?}"));
-        }
-        Ok(())
-    };
-    check("app", opt_str(j, "app")?, key.app.name())?;
-    check("class", opt_str(j, "class")?, &key.class.to_string())?;
-    check("machine", opt_str(j, "machine")?, key.machine)?;
-    check("policy", opt_str(j, "policy")?, key.policy.label())?;
-    check("backend", opt_str(j, "backend")?, key.backend.label())?;
-    if opt_u64(j, "threads")? as usize != key.threads {
-        return Err("threads mismatch".into());
-    }
-    if let PagePolicy::Mixed { threshold_bytes } = key.policy {
-        if opt_u64(j, "mixed_threshold")? != threshold_bytes {
-            return Err("mixed_threshold mismatch".into());
-        }
-    }
-    let seconds = j
-        .get("seconds")
-        .and_then(Json::as_num)
-        .ok_or("missing seconds")?;
-    let checksum = j
-        .get("checksum")
-        .and_then(Json::as_num)
-        .ok_or("missing checksum")?;
-    let cycles = opt_u64(j, "cycles")?;
-    let verified = match j.get("verified") {
-        Some(Json::Null) => None,
-        Some(Json::Bool(b)) => Some(*b),
-        _ => return Err("missing verified".into()),
-    };
-    let cj = j.get("counters").ok_or("missing counters")?;
-    let mut counters = Counters::new();
-    for e in Event::ALL {
-        // Strict: a counter the current engine knows but the file lacks
-        // means the file predates the event — reject, never default to 0.
-        counters.set(e, opt_u64(cj, e.mnemonic())?);
-    }
-    Ok(RunRecord {
-        app: key.app,
-        class: key.class,
-        machine: key.machine,
-        policy: key.policy,
-        threads: key.threads,
-        seconds,
-        cycles,
-        counters,
-        checksum,
-        verified,
-        regions: None,
-        trace: None,
-        backend: key.backend.label(),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -380,10 +339,10 @@ impl RunStore {
     pub fn load_cell<T: GridCell>(&self, key: &StoreKey) -> Option<T> {
         let src = std::fs::read_to_string(self.dir.join(key.file_name())).ok()?;
         let j = parse_json(&src).ok()?;
-        (opt_u64(&j, "v").ok()? == STORE_FORMAT).then_some(())?;
-        (opt_u64(&j, "engine").ok()? == u64::from(ENGINE_VERSION)).then_some(())?;
-        (opt_str(&j, "fp").ok()? == key.fingerprint()).then_some(())?;
-        T::from_store_json(j.get("record")?, key)
+        (j.uint("v").ok()? == STORE_FORMAT).then_some(())?;
+        (j.uint("engine").ok()? == u64::from(ENGINE_VERSION)).then_some(())?;
+        (j.string("fp").ok()? == key.fingerprint()).then_some(())?;
+        T::from_store_json(j.member("record").ok()?, key).ok()
     }
 
     /// Persist `cell` under `key`, inside an envelope stamped with the
@@ -396,15 +355,14 @@ impl RunStore {
         if !cell.storable() {
             return Ok(false);
         }
-        let payload = cell.to_store_json();
-        debug_assert!(
-            !payload.contains('\n'),
-            "cell payloads must be single-line JSON"
-        );
-        let out = format!(
-            "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"fp\":\"{}\",\"record\":{payload}}}\n",
-            escape_json(key.fingerprint()),
-        );
+        let mut w = JsonWriter::with_capacity(4096);
+        w.obj(|w| {
+            w.key("v").uint(STORE_FORMAT);
+            w.key("engine").uint(ENGINE_VERSION.into());
+            w.key("fp").str(key.fingerprint());
+            w.key("record").obj(|w| cell.write_json(w));
+        });
+        let out = w.finish() + "\n";
         self.write_atomic(&key.file_name(), out.as_bytes())?;
         Ok(true)
     }
@@ -516,22 +474,23 @@ impl ShardManifest {
 
     /// Write the manifest into the store (atomically, like records).
     pub fn write(&self, store: &RunStore) -> std::io::Result<PathBuf> {
-        let mut out = String::with_capacity(256 + self.entries.len() * 48);
-        let _ = write!(
-            out,
-            "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"sweep\":\"{}\",\
-             \"shard\":{},\"of\":{},\"entries\":[",
-            escape_json(&self.sweep),
-            self.shard.index + 1,
-            self.shard.count
-        );
-        for (i, (idx, addr)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{idx},\"{addr}\"]");
-        }
-        out.push_str("]}\n");
+        let mut w = JsonWriter::with_capacity(256 + self.entries.len() * 48);
+        w.obj(|w| {
+            w.key("v").uint(STORE_FORMAT);
+            w.key("engine").uint(ENGINE_VERSION.into());
+            w.key("sweep").str(&self.sweep);
+            w.key("shard").uint(self.shard.index as u64 + 1);
+            w.key("of").uint(self.shard.count as u64);
+            w.key("entries").arr(|w| {
+                for (idx, addr) in &self.entries {
+                    w.arr(|w| {
+                        w.uint(*idx as u64);
+                        w.str(addr);
+                    });
+                }
+            });
+        });
+        let out = w.finish() + "\n";
         let name = Self::file_name(&self.sweep, self.shard);
         store.write_atomic(&name, out.as_bytes())?;
         Ok(store.dir().join(name))
@@ -542,19 +501,19 @@ impl ShardManifest {
     pub fn read(path: &Path) -> Result<ShardManifest, String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let j = parse_json(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-        if opt_u64(&j, "v")? != STORE_FORMAT {
+        if j.uint("v")? != STORE_FORMAT {
             return Err(format!("{}: unknown store format", path.display()));
         }
-        if opt_u64(&j, "engine")? != u64::from(ENGINE_VERSION) {
+        let engine = j.uint("engine")?;
+        if engine != u64::from(ENGINE_VERSION) {
             return Err(format!(
-                "{}: engine version {} != current {ENGINE_VERSION}",
+                "{}: engine version {engine} != current {ENGINE_VERSION}",
                 path.display(),
-                opt_u64(&j, "engine")?
             ));
         }
-        let sweep = opt_str(&j, "sweep")?.to_owned();
-        let shard_1 = opt_u64(&j, "shard")? as usize;
-        let count = opt_u64(&j, "of")? as usize;
+        let sweep = j.string("sweep")?.to_owned();
+        let shard_1 = j.uint("shard")? as usize;
+        let count = j.uint("of")? as usize;
         if shard_1 < 1 || shard_1 > count {
             return Err(format!(
                 "{}: shard {shard_1}/{count} invalid",
@@ -562,21 +521,12 @@ impl ShardManifest {
             ));
         }
         let mut entries = Vec::new();
-        for pair in j
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("missing entries")?
-        {
-            let p = pair.as_arr().ok_or("manifest entry is not a pair")?;
-            let idx = p
-                .first()
-                .and_then(Json::as_num)
-                .ok_or("manifest entry index")? as usize;
-            let addr = p
-                .get(1)
-                .and_then(Json::as_str)
-                .ok_or("manifest entry address")?
-                .to_owned();
+        for pair in j.array("entries")? {
+            let Some([idx, addr]) = pair.as_arr() else {
+                return Err("manifest entry is not a pair".into());
+            };
+            let idx = idx.as_uint().ok_or("manifest entry index")? as usize;
+            let addr = addr.as_str().ok_or("manifest entry address")?.to_owned();
             entries.push((idx, addr));
         }
         Ok(ShardManifest {
@@ -617,10 +567,12 @@ impl JsonlSink {
     /// Write errors are reported to stderr, not fatal — streaming is
     /// observability, the sweep's results do not depend on it.
     pub fn emit<T: GridCell>(&self, cell: &T, cached: bool) {
-        let mut line = cell.to_store_json();
-        let closer = line.pop();
-        debug_assert_eq!(closer, Some('}'));
-        let _ = writeln!(line, ",\"cached\":{cached}}}");
+        let mut w = JsonWriter::with_capacity(1024);
+        w.obj(|w| {
+            cell.write_json(w);
+            w.key("cached").bool(cached);
+        });
+        let line = w.finish() + "\n";
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         if let Err(e) = out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
             eprintln!("jsonl sink: dropped a record line: {e}");
@@ -670,6 +622,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lpomp-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         RunStore::open(dir).unwrap()
+    }
+
+    /// Length and FNV-1a 64 of a written file, to pin its bytes.
+    fn pin(text: &str) -> (usize, u64) {
+        (text.len(), fnv1a64(FNV_OFFSET, text.as_bytes()))
+    }
+
+    /// A machine whose name needs escaping in every JSON string.
+    fn quoted_machine() -> MachineConfig {
+        MachineConfig {
+            name: "lab \"box\" \\ 2",
+            ..opteron_2x2()
+        }
     }
 
     #[test]
@@ -851,14 +816,15 @@ mod tests {
     }
 
     impl GridCell for Xy {
-        fn to_store_json(&self) -> String {
-            format!("{{\"x\":{},\"y\":\"{}\"}}", self.x, escape_json(&self.y))
+        fn write_json(&self, w: &mut JsonWriter) {
+            w.key("x").num(self.x);
+            w.key("y").str(&self.y);
         }
 
-        fn from_store_json(j: &Json, _key: &StoreKey) -> Option<Self> {
-            Some(Xy {
-                x: j.get("x").and_then(Json::as_num)?,
-                y: j.get("y").and_then(Json::as_str)?.to_owned(),
+        fn from_store_json(j: &Json, _key: &StoreKey) -> Result<Self, String> {
+            Ok(Xy {
+                x: j.num("x")?,
+                y: j.string("y")?.to_owned(),
             })
         }
     }
@@ -873,6 +839,12 @@ mod tests {
             y: "z".to_owned(),
         };
         assert!(store.save_cell(&k, &cell).unwrap());
+        let file = std::fs::read_to_string(store.dir().join(k.file_name())).unwrap();
+        assert_eq!(
+            pin(&file),
+            (2054, 0x3a60_292f_f627_cffb),
+            "cell file bytes drifted"
+        );
         let back: Xy = store.load_cell(&k).unwrap();
         assert_eq!(back.x, 1.0);
         assert_eq!(back.y, "z");
@@ -892,11 +864,30 @@ mod tests {
         rec.verified = Some(true);
         assert!(store.load(&k).is_none(), "cold store misses");
         assert!(store.save(&k, &rec).unwrap());
+        let file = std::fs::read_to_string(store.dir().join(k.file_name())).unwrap();
+        assert_eq!(
+            pin(&file),
+            (2754, 0xf1bc_6889_2af3_624c),
+            "record file bytes drifted"
+        );
         let back = store.load(&k).expect("hit after save");
         // RunRecord's PartialEq compares f64 bits via ==; equality here is
         // the byte-identical guarantee the incremental sweep relies on.
         assert_eq!(back, rec);
         assert_eq!(store.len(), 1);
+        // A machine name with a quote and a backslash round-trips too.
+        let quoted = StoreKey::new(
+            &quoted_machine(),
+            AppKind::Cg,
+            Class::S,
+            PagePolicy::Large2M,
+            2,
+            RunOpts::default(),
+            BackendKind::CycleExact,
+        );
+        let rec = dummy_record(&quoted);
+        assert!(store.save(&quoted, &rec).unwrap());
+        assert_eq!(store.load(&quoted), Some(rec));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -924,16 +915,31 @@ mod tests {
         let path = store.dir().join(k.file_name());
         let good = std::fs::read_to_string(&path).unwrap();
 
-        // Truncated, garbage, and wrong-typed files: all miss.
+        // Truncated, garbage, wrong-typed and deeply nested files: all miss.
+        let deep = format!("{}{good}", "[".repeat(100_000));
         for bad in [
             &good[..good.len() / 2],
             "not json at all",
             "",
             "{\"v\":1}",
             "[1,2,3]",
+            &deep,
         ] {
             std::fs::write(&path, bad).unwrap();
-            assert!(store.load(&k).is_none(), "{bad:?} must miss");
+            assert!(
+                store.load(&k).is_none(),
+                "{:?} must miss",
+                &bad[..bad.len().min(40)]
+            );
+        }
+
+        // A stored integer outside the exact non-negative range misses
+        // instead of loading clamped or truncated.
+        for cycles in ["-5", "1.5", "1e300"] {
+            let bad = good.replacen("\"cycles\":123456789", &format!("\"cycles\":{cycles}"), 1);
+            assert_ne!(bad, good);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(store.load(&k).is_none(), "cycles {cycles} must miss");
         }
 
         // Engine-version drift: stale analytic semantics must re-run.
@@ -999,6 +1005,11 @@ mod tests {
             entries: vec![(1, "aa".into()), (3, "bb".into())],
         };
         let path = m.write(&store).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"v\":2,\"engine\":8,\"sweep\":\"deadbeef\",\"shard\":2,\"of\":2,\
+             \"entries\":[[1,\"aa\"],[3,\"bb\"]]}\n"
+        );
         assert_eq!(ShardManifest::read(&path).unwrap(), m);
         assert_eq!(store.len(), 0, "manifests are not records");
         // Corrupt manifests produce errors, not panics.
@@ -1024,13 +1035,33 @@ mod tests {
         let k = key(PagePolicy::Small4K, 2);
         sink.emit(&dummy_record(&k), true);
         sink.emit(&dummy_record(&k), false);
+        let quoted = StoreKey::new(
+            &quoted_machine(),
+            AppKind::Cg,
+            Class::S,
+            PagePolicy::Small4K,
+            2,
+            RunOpts::default(),
+            BackendKind::CycleExact,
+        );
+        sink.emit(&dummy_record(&quoted), false);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(
+            pin(lines[0]),
+            (742, 0xee22_f34e_8b5c_156f),
+            "JSONL line bytes drifted"
+        );
         let first = parse_json(lines[0]).unwrap();
         assert_eq!(first.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(first.get("app").and_then(Json::as_str), Some("CG"));
         let second = parse_json(lines[1]).unwrap();
         assert_eq!(second.get("cached"), Some(&Json::Bool(false)));
+        let third = parse_json(lines[2]).unwrap();
+        assert_eq!(
+            third.get("machine").and_then(Json::as_str),
+            Some(quoted_machine().name)
+        );
     }
 }

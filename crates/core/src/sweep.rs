@@ -496,7 +496,7 @@ mod tests {
     use super::*;
     use crate::backend::run_backend;
     use lpomp_machine::opteron_2x2;
-    use lpomp_prof::Json;
+    use lpomp_prof::{Json, JsonWriter};
 
     fn small_spec() -> SweepSpec {
         SweepSpec {
@@ -656,13 +656,14 @@ mod tests {
             y: f64,
         }
         impl GridCell for Row {
-            fn to_store_json(&self) -> String {
-                format!("{{\"x\":{},\"y\":{}}}", self.x, self.y)
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.key("x").uint(self.x);
+                w.key("y").num(self.y);
             }
-            fn from_store_json(j: &Json, _key: &StoreKey) -> Option<Self> {
-                Some(Row {
-                    x: j.get("x").and_then(Json::as_num)? as u64,
-                    y: j.get("y").and_then(Json::as_num)?,
+            fn from_store_json(j: &Json, _key: &StoreKey) -> Result<Self, String> {
+                Ok(Row {
+                    x: j.uint("x")?,
+                    y: j.num("y")?,
                 })
             }
         }

@@ -16,7 +16,8 @@
 //! OProfile attribution, §4), and [`trace`] exports the timeline as
 //! Chrome `trace_event` JSON. The [`reuse`] module captures per-thread
 //! reuse-distance histograms into the compact [`StreamProfile`] the
-//! analytic backend evaluates.
+//! analytic backend evaluates. [`json`] is the workspace's one JSON
+//! codec: the workspace's crates write and read every JSON file with it.
 
 #![warn(missing_docs)]
 
@@ -33,6 +34,7 @@
 pub const ENGINE_VERSION: u32 = 8;
 
 pub mod counters;
+pub mod json;
 pub mod region;
 pub mod report;
 pub mod reuse;
@@ -40,8 +42,9 @@ pub mod table;
 pub mod trace;
 
 pub use counters::{Counters, Event, Profile, ThreadSheet};
+pub use json::{parse_json, Json, JsonWriter};
 pub use region::{ProfileSheet, ProfileSpec, RegionId, RegionProfiler, ROOT_REGION};
 pub use report::{imbalance, normalized, rate_per_second, NormalizedSeries};
 pub use reuse::{PhaseAggregator, ReuseHistogram, ReuseTracker, StreamProfile, ThreadRecorder};
 pub use table::TextTable;
-pub use trace::{escape_json, parse_json, Json, TraceRecorder};
+pub use trace::TraceRecorder;

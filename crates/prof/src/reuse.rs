@@ -16,11 +16,10 @@
 //! analytically.
 //!
 //! Everything here is dependency-free; serialization round-trips through
-//! [`crate::trace::parse_json`].
+//! the crate's one JSON codec, [`crate::json`].
 
-use crate::trace::{escape_json, parse_json, Json};
+use crate::json::{parse_json, Json, JsonWriter};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Access-mode index: demand (latency-bound) accesses.
@@ -991,59 +990,23 @@ impl PhaseAggregator {
 }
 
 // ---------------------------------------------------------------------
-// Serialization (writer below, reader via `parse_json`).
+// Serialization, through `crate::json`.
 
-fn write_hist(out: &mut String, h: &ReuseHistogram) {
-    out.push_str("{\"c\":");
-    let _ = write!(out, "{}", h.cold);
-    out.push_str(",\"b\":[");
-    for (i, &(idx, n)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{idx},{n}]");
-    }
-    out.push_str("]}");
-}
-
-fn write_hist3(out: &mut String, hs: &[ReuseHistogram; MODES]) {
-    out.push('[');
-    for (i, h) in hs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_hist(out, h);
-    }
-    out.push(']');
-}
-
-fn write_conflict(out: &mut String, h: &ConflictHist) {
-    let _ = write!(out, "{{\"f\":{},\"d\":[", h.far);
-    for (i, &(dist, n)) in h.d.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{dist},{n}]");
-    }
-    out.push_str("]}");
-}
-
-fn write_conflicts(out: &mut String, cs: &[[ConflictHist; MODES]]) {
-    out.push('[');
-    for (i, modes) in cs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (m, h) in modes.iter().enumerate() {
-            if m > 0 {
-                out.push(',');
+/// A sparse histogram object: the count outside the pairs under `rest`,
+/// then the `(index, count)` pairs [`read_pairs`] reads under `pairs`.
+/// Reuse and conflict histograms share this shape.
+fn write_sparse(w: &mut JsonWriter, rest: (&str, u64), pairs: (&str, &[(u32, u64)])) {
+    w.obj(|w| {
+        w.key(rest.0).uint(rest.1);
+        w.key(pairs.0).arr(|w| {
+            for &(i, n) in pairs.1 {
+                w.arr(|w| {
+                    w.uint(i.into());
+                    w.uint(n);
+                });
             }
-            write_conflict(out, h);
-        }
-        out.push(']');
-    }
-    out.push(']');
+        });
+    });
 }
 
 impl StreamProfile {
@@ -1053,70 +1016,56 @@ impl StreamProfile {
     /// profile captured under older charge rules can never silently feed
     /// the analytic backend stale predictions.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1 << 16);
-        let _ = write!(
-            out,
-            "{{\"engine\":{},\"app\":\"{}\",\"class\":\"{}\",\"threads\":{},\"checksum\":{}",
-            crate::ENGINE_VERSION,
-            escape_json(&self.app),
-            escape_json(&self.class),
-            self.threads,
-            self.checksum
-        );
-        out.push_str(",\"phases\":[");
-        for (pi, p) in self.phases.iter().enumerate() {
-            if pi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":\"{}\",\"barriers\":{},\"threads\":[",
-                escape_json(&p.label),
-                p.barriers
-            );
-            for (ti, t) in p.threads.iter().enumerate() {
-                if ti > 0 {
-                    out.push(',');
+        let hists = |w: &mut JsonWriter, hs: &[ReuseHistogram]| {
+            w.arr(|w| {
+                for h in hs {
+                    write_sparse(w, ("c", h.cold), ("b", &h.buckets));
                 }
-                let _ = write!(
-                    out,
-                    "{{\"acc\":[{},{},{}],\"ld\":{},\"st\":{},\"ins\":{},\"if\":{}",
-                    t.acc[0], t.acc[1], t.acc[2], t.loads, t.stores, t.instructions, t.ifetches,
-                );
-                out.push_str(",\"sp\":[");
-                for (i, n) in t.stream_pages.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{n}");
+            });
+        };
+        let mut w = JsonWriter::with_capacity(1 << 16);
+        w.obj(|w| {
+            w.key("engine").uint(crate::ENGINE_VERSION.into());
+            w.key("app").str(&self.app);
+            w.key("class").str(&self.class);
+            w.key("threads").uint(self.threads as u64);
+            w.key("checksum").num(self.checksum);
+            w.key("phases").arr(|w| {
+                for p in &self.phases {
+                    w.obj(|w| {
+                        w.key("label").str(&p.label);
+                        w.key("barriers").uint(p.barriers);
+                        w.key("threads").arr(|w| {
+                            for t in &p.threads {
+                                w.obj(|w| {
+                                    w.key("acc").arr(|w| t.acc.iter().for_each(|&n| w.uint(n)));
+                                    w.key("ld").uint(t.loads);
+                                    w.key("st").uint(t.stores);
+                                    w.key("ins").uint(t.instructions);
+                                    w.key("if").uint(t.ifetches);
+                                    w.key("sp")
+                                        .arr(|w| t.stream_pages.iter().for_each(|&n| w.uint(n)));
+                                    hists(w.key("line"), &t.line);
+                                    w.key("pg")
+                                        .arr(|w| t.pages.iter().for_each(|hs| hists(w, hs)));
+                                    hists(w.key("code"), &t.code);
+                                    w.key("cf").arr(|w| {
+                                        for modes in &t.conflict {
+                                            w.arr(|w| {
+                                                for c in modes {
+                                                    write_sparse(w, ("f", c.far), ("d", &c.d));
+                                                }
+                                            });
+                                        }
+                                    });
+                                });
+                            }
+                        });
+                    });
                 }
-                out.push(']');
-                out.push_str(",\"line\":");
-                write_hist3(&mut out, &t.line);
-                out.push_str(",\"pg\":[");
-                for (i, hs) in t.pages.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_hist3(&mut out, hs);
-                }
-                out.push(']');
-                out.push_str(",\"code\":[");
-                for (i, h) in t.code.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_hist(&mut out, h);
-                }
-                out.push(']');
-                out.push_str(",\"cf\":");
-                write_conflicts(&mut out, &t.conflict);
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            });
+        });
+        w.finish()
     }
 
     /// Parse a profile serialized by [`to_json`](Self::to_json).
@@ -1127,81 +1076,30 @@ impl StreamProfile {
     /// matches, and the only safe response is recapture.
     pub fn from_json(src: &str) -> Result<StreamProfile, String> {
         let j = parse_json(src)?;
-        let engine = req_u64(&j, "engine")?;
+        let engine = j.uint("engine")?;
         if engine != u64::from(crate::ENGINE_VERSION) {
             return Err(format!(
                 "profile engine version {engine} != current {} — recapture required",
                 crate::ENGINE_VERSION
             ));
         }
-        let app = req_str(&j, "app")?;
-        let class = req_str(&j, "class")?;
-        let threads = req_u64(&j, "threads")? as usize;
-        let checksum = req_num(&j, "checksum")?;
+        let threads = j.uint("threads")? as usize;
         let mut phases = Vec::new();
-        for p in req_arr(&j, "phases")? {
-            let label = req_str(p, "label")?;
-            let barriers = req_u64(p, "barriers")?;
-            let mut ts = Vec::new();
-            for t in req_arr(p, "threads")? {
-                ts.push(read_phase_thread(t)?);
-            }
-            if ts.len() != threads {
-                return Err(format!(
-                    "phase {label:?}: {} thread entries, expected {threads}",
-                    ts.len()
-                ));
-            }
+        for p in j.array("phases")? {
             phases.push(Phase {
-                label,
-                barriers,
-                threads: ts,
+                label: p.string("label")?.to_owned(),
+                barriers: p.uint("barriers")?,
+                threads: read_each(p, "threads", threads, read_phase_thread)?,
             });
         }
         Ok(StreamProfile {
-            app,
-            class,
+            app: j.string("app")?.to_owned(),
+            class: j.string("class")?.to_owned(),
             threads,
-            checksum,
+            checksum: j.num("checksum")?,
             phases,
         })
     }
-}
-
-fn req<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn req_num(j: &Json, key: &str) -> Result<f64, String> {
-    req(j, key)?
-        .as_num()
-        .ok_or_else(|| format!("key {key:?} is not a number"))
-}
-
-/// 2^53: every integer up to it is exact in an `f64`.
-const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
-
-/// A JSON number that is a non-negative integer exact in an `f64`.
-fn as_uint(j: &Json) -> Option<u64> {
-    let n = j.as_num()?;
-    (n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT).then_some(n as u64)
-}
-
-fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    as_uint(req(j, key)?).ok_or_else(|| format!("key {key:?} is not a non-negative integer"))
-}
-
-fn req_str(j: &Json, key: &str) -> Result<String, String> {
-    Ok(req(j, key)?
-        .as_str()
-        .ok_or_else(|| format!("key {key:?} is not a string"))?
-        .to_owned())
-}
-
-fn req_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    req(j, key)?
-        .as_arr()
-        .ok_or_else(|| format!("key {key:?} is not an array"))
 }
 
 /// Sparse `(index, count)` pairs as a capture writes them: integer
@@ -1210,14 +1108,16 @@ fn req_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
 /// double-count, so it is refused rather than evaluated.
 fn read_pairs(j: &Json, key: &str, limit: usize) -> Result<Vec<(u32, u64)>, String> {
     let mut out: Vec<(u32, u64)> = Vec::new();
-    for pair in req_arr(j, key)? {
+    for pair in j.array(key)? {
         let Some([idx, n]) = pair.as_arr() else {
             return Err(format!("key {key:?}: entry is not a pair"));
         };
-        let idx = as_uint(idx)
+        let idx = idx
+            .as_uint()
             .filter(|&i| i < limit as u64)
             .ok_or_else(|| format!("key {key:?}: index is not an integer below {limit}"))?;
-        let n = as_uint(n)
+        let n = n
+            .as_uint()
             .filter(|&n| n > 0)
             .ok_or_else(|| format!("key {key:?}: count is not a positive integer"))?;
         if out.last().is_some_and(|&(prev, _)| u64::from(prev) >= idx) {
@@ -1230,106 +1130,63 @@ fn read_pairs(j: &Json, key: &str, limit: usize) -> Result<Vec<(u32, u64)>, Stri
 
 fn read_hist(j: &Json) -> Result<ReuseHistogram, String> {
     Ok(ReuseHistogram {
-        cold: req_u64(j, "c")?,
+        cold: j.uint("c")?,
         buckets: read_pairs(j, "b", NUM_BUCKETS)?,
     })
 }
 
-fn read_hist3(j: &Json, key: &str) -> Result<[ReuseHistogram; MODES], String> {
-    let arr = req_arr(j, key)?;
-    if arr.len() != MODES {
-        return Err(format!("key {key:?}: expected {MODES} histograms"));
-    }
-    Ok([
-        read_hist(&arr[0])?,
-        read_hist(&arr[1])?,
-        read_hist(&arr[2])?,
-    ])
-}
-
 fn read_conflict(j: &Json) -> Result<ConflictHist, String> {
     Ok(ConflictHist {
-        far: req_u64(j, "f")?,
+        far: j.uint("f")?,
         d: read_pairs(j, "d", CONFLICT_DEPTH)?,
     })
 }
 
-fn read_conflicts(j: &Json) -> Result<Vec<[ConflictHist; MODES]>, String> {
-    let mut out = Vec::new();
-    for modes in req_arr(j, "cf")? {
-        let arr = modes.as_arr().ok_or("cf entry is not an array")?;
-        if arr.len() != MODES {
-            return Err(format!("cf entry: expected {MODES} histograms"));
-        }
-        out.push([
-            read_conflict(&arr[0])?,
-            read_conflict(&arr[1])?,
-            read_conflict(&arr[2])?,
-        ]);
-    }
-    if out.len() != CONFLICT_SHAPES.len() {
-        return Err(format!(
-            "cf: {} shapes, expected {} (profile from an older format?)",
-            out.len(),
-            CONFLICT_SHAPES.len()
-        ));
+/// One histogram per access mode, in `MODE_*` order.
+fn read_modes<T>(j: &Json, read: fn(&Json) -> Result<T, String>) -> Result<[T; MODES], String> {
+    let Some([latency, pipelined, stream]) = j.as_arr() else {
+        return Err(format!("expected an array of {MODES} histograms"));
+    };
+    Ok([read(latency)?, read(pipelined)?, read(stream)?])
+}
+
+/// A fixed-length array of non-negative integers under `key`.
+fn read_uints<const N: usize>(j: &Json, key: &str) -> Result<[u64; N], String> {
+    let mut out = [0; N];
+    for (slot, n) in out.iter_mut().zip(j.array_of(key, N)?) {
+        *slot = n
+            .as_uint()
+            .ok_or_else(|| format!("key {key:?}: entry is not a non-negative integer"))?;
     }
     Ok(out)
 }
 
+/// The `len` entries of the array under `key`, each read by `read`;
+/// an entry's error is prefixed with the key.
+fn read_each<T>(
+    j: &Json,
+    key: &str,
+    len: usize,
+    read: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let entry = |e| read(e).map_err(|err| format!("key {key:?}: {err}"));
+    j.array_of(key, len)?.iter().map(entry).collect()
+}
+
 fn read_phase_thread(j: &Json) -> Result<PhaseThread, String> {
-    let acc_arr = req_arr(j, "acc")?;
-    if acc_arr.len() != MODES {
-        return Err("acc: expected 3 entries".into());
-    }
-    let mut acc = [0u64; MODES];
-    for (i, a) in acc_arr.iter().enumerate() {
-        acc[i] = as_uint(a).ok_or("acc entry is not a non-negative integer")?;
-    }
-    let sp_arr = req_arr(j, "sp")?;
-    if sp_arr.len() != NUM_SHIFTS {
-        return Err(format!("sp: expected {NUM_SHIFTS} entries"));
-    }
-    let mut stream_pages = [0u64; NUM_SHIFTS];
-    for (i, n) in sp_arr.iter().enumerate() {
-        stream_pages[i] = as_uint(n).ok_or("sp entry is not a non-negative integer")?;
-    }
-    let pg_arr = req_arr(j, "pg")?;
-    if pg_arr.len() != NUM_SHIFTS {
-        return Err(format!(
-            "pg: {} page granularities, expected {NUM_SHIFTS} (profile from an older format?)",
-            pg_arr.len()
-        ));
-    }
-    let mut pages = Vec::with_capacity(NUM_SHIFTS);
-    for hs in pg_arr {
-        let arr = hs.as_arr().ok_or("pg entry is not an array")?;
-        if arr.len() != MODES {
-            return Err(format!("pg entry: expected {MODES} histograms"));
-        }
-        pages.push([
-            read_hist(&arr[0])?,
-            read_hist(&arr[1])?,
-            read_hist(&arr[2])?,
-        ]);
-    }
     Ok(PhaseThread {
-        acc,
-        loads: req_u64(j, "ld")?,
-        stores: req_u64(j, "st")?,
-        instructions: req_u64(j, "ins")?,
-        ifetches: req_u64(j, "if")?,
-        stream_pages,
-        line: read_hist3(j, "line")?,
-        pages,
-        code: {
-            let arr = req_arr(j, "code")?;
-            if arr.len() != NUM_CODE_SHIFTS {
-                return Err(format!("code: expected {NUM_CODE_SHIFTS} histograms"));
-            }
-            arr.iter().map(read_hist).collect::<Result<_, _>>()?
-        },
-        conflict: read_conflicts(j)?,
+        acc: read_uints(j, "acc")?,
+        loads: j.uint("ld")?,
+        stores: j.uint("st")?,
+        instructions: j.uint("ins")?,
+        ifetches: j.uint("if")?,
+        stream_pages: read_uints(j, "sp")?,
+        line: read_modes(j.member("line")?, read_hist)?,
+        pages: read_each(j, "pg", NUM_SHIFTS, |hs| read_modes(hs, read_hist))?,
+        code: read_each(j, "code", NUM_CODE_SHIFTS, read_hist)?,
+        conflict: read_each(j, "cf", CONFLICT_SHAPES.len(), |cs| {
+            read_modes(cs, read_conflict)
+        })?,
     })
 }
 

@@ -9,9 +9,11 @@
 //! read as cycles, and the relative widths (barrier waits, daemon
 //! episodes, kernel phases) are what the view is for.
 //!
-//! The module also carries [`parse_json`], a minimal dependency-free
-//! JSON reader, so the round-trip property test (emit → parse → check
-//! nesting) needs nothing outside the tree.
+//! The export is written with [`crate::json::JsonWriter`] and reads
+//! back with [`crate::json::parse_json`], so the round-trip property
+//! test (emit → parse → check nesting) needs nothing outside the tree.
+
+use crate::json::JsonWriter;
 
 /// Event kind, mirroring the `ph` field of the trace format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,288 +90,48 @@ impl TraceRecorder {
     /// thread `t`'s track (`"core C thread T"`) via `thread_name`
     /// metadata; all events share `pid` 0.
     pub fn to_json(&self, cores: &[usize]) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 64);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for (t, &core) in cores.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{t},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"core {core} thread {t}\"}}}}"
-            ));
-        }
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let name = escape_json(&e.name);
-            match e.ph {
-                TracePhase::Begin | TracePhase::End => {
-                    let ph = if e.ph == TracePhase::Begin { 'B' } else { 'E' };
-                    out.push_str(&format!(
-                        "{{\"ph\":\"{ph}\",\"pid\":0,\"tid\":{},\"ts\":{},\"name\":\"{name}\"}}",
-                        e.tid, e.ts
-                    ));
+        let mut w = JsonWriter::with_capacity(64 + self.events.len() * 64);
+        w.obj(|w| {
+            w.key("displayTimeUnit").str("ms");
+            w.key("traceEvents").arr(|w| {
+                for (t, &core) in cores.iter().enumerate() {
+                    w.obj(|w| {
+                        w.key("ph").str("M");
+                        w.key("pid").uint(0);
+                        w.key("tid").uint(t as u64);
+                        w.key("name").str("thread_name");
+                        w.key("args").obj(|w| {
+                            w.key("name").str(&format!("core {core} thread {t}"));
+                        });
+                    });
                 }
-                TracePhase::Instant => {
-                    out.push_str(&format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{},\
-                         \"name\":\"{name}\"}}",
-                        e.tid, e.ts
-                    ));
+                for e in &self.events {
+                    w.obj(|w| {
+                        let ph = match e.ph {
+                            TracePhase::Begin => "B",
+                            TracePhase::End => "E",
+                            TracePhase::Instant => "i",
+                        };
+                        w.key("ph").str(ph);
+                        if e.ph == TracePhase::Instant {
+                            w.key("s").str("t");
+                        }
+                        w.key("pid").uint(0);
+                        w.key("tid").uint(e.tid as u64);
+                        w.key("ts").uint(e.ts);
+                        w.key("name").str(&e.name);
+                    });
                 }
-            }
-        }
-        out.push_str("]}");
-        out
+            });
+        });
+        w.finish()
     }
-}
-
-/// Escape `s` for use inside a JSON string literal: quotes and
-/// backslashes are backslash-escaped and every control character is
-/// written as an escape, so the output always parses back to `s`.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value — the minimal model the round-trip test needs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order (keys may repeat).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object (first match), else `None`.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document. Errors carry a byte offset and a
-/// short description; trailing non-whitespace is an error.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
-        members.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        *pos += 4;
-                        // Surrogate pairs are not needed for our own output.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos - 1)),
-                }
-            }
-            c => {
-                // Re-sync to char boundaries for multibyte UTF-8.
-                let start = *pos - 1;
-                let mut end = *pos;
-                while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                    end += 1;
-                }
-                if c < 0x80 {
-                    out.push(c as char);
-                } else {
-                    let s = std::str::from_utf8(&b[start..end])
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                    out.push_str(s);
-                    *pos = end;
-                }
-            }
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_owned())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number '{text}' at byte {start}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, Json};
 
     #[test]
     fn renders_metadata_slices_and_instants() {
@@ -378,6 +140,16 @@ mod tests {
         tr.instant("tlb-shootdown", 0, 15);
         tr.end("cg:matvec", 0, 20);
         let json = tr.to_json(&[2]);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"core 2 thread 0"}},"#,
+                r#"{"ph":"B","pid":0,"tid":0,"ts":10,"name":"cg:matvec"},"#,
+                r#"{"ph":"i","s":"t","pid":0,"tid":0,"ts":15,"name":"tlb-shootdown"},"#,
+                r#"{"ph":"E","pid":0,"tid":0,"ts":20,"name":"cg:matvec"}]}"#,
+            )
+        );
         let doc = parse_json(&json).expect("own output parses");
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 4, "1 metadata + 3 recorded");
@@ -407,32 +179,6 @@ mod tests {
             events[1].get("name").and_then(Json::as_str),
             Some("weird \"name\"\\with\nstuff")
         );
-    }
-
-    #[test]
-    fn parser_handles_the_usual_shapes() {
-        let doc =
-            parse_json(r#" {"a": [1, -2.5, 1e3], "b": {"nested": true}, "c": null, "d": "x"} "#)
-                .unwrap();
-        assert_eq!(doc.get("a").and_then(Json::as_arr).unwrap().len(), 3);
-        assert_eq!(
-            doc.get("a").unwrap().as_arr().unwrap()[2],
-            Json::Num(1000.0)
-        );
-        assert_eq!(
-            doc.get("b").and_then(|b| b.get("nested")),
-            Some(&Json::Bool(true))
-        );
-        assert_eq!(doc.get("c"), Some(&Json::Null));
-        assert_eq!(doc.get("d").and_then(Json::as_str), Some("x"));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("").is_err());
     }
 
     #[test]
