@@ -74,8 +74,9 @@ pub struct StoreKey {
     backend: BackendKind,
 }
 
-/// 64-bit FNV-1a over `bytes`, from an arbitrary offset basis.
-fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over `bytes`, from an arbitrary offset basis
+/// ([`FNV_OFFSET`] for the standard hash).
+pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= u64::from(b);
@@ -84,7 +85,8 @@ fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The standard FNV-1a 64 offset basis.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Second lane's offset basis (golden-ratio perturbation) so the two
 /// 64-bit lanes are independent and the combined address is 128-bit.
 const FNV_OFFSET_2: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;

@@ -10,7 +10,10 @@
 //! (64 B) granularity. Indexing is virtual for ordinary data (a VIPT
 //! simplification: the simulated job is one shared address space, so no
 //! aliasing can arise) and physical for page-walk references, which carry
-//! a tag bit to keep the two keyspaces disjoint.
+//! a tag bit to keep the two keyspaces disjoint. The sets live in one
+//! [`LruSets`].
+
+use lpomp_prof::lru::{LruSets, Mru};
 
 /// Cache line size in bytes on both evaluation platforms.
 pub const LINE_BYTES: u64 = 64;
@@ -35,114 +38,41 @@ impl CacheConfig {
     }
 }
 
-/// Hit/miss counters for one cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the line.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Lines displaced by fills.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Miss ratio in [0, 1].
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.hits + self.misses;
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
-}
-
-/// A set-associative cache with true LRU (MRU-first vectors per set).
+/// A set-associative cache with true LRU per set.
 #[derive(Debug)]
 pub struct Cache {
-    config: CacheConfig,
-    set_mask: u64,
-    ways: usize,
-    /// Per-set line addresses, MRU first.
-    sets: Vec<Vec<u64>>,
-    stats: CacheStats,
+    /// Resident line addresses, MRU first per set.
+    lines: LruSets,
 }
 
 impl Cache {
     /// Instantiate a cache from its geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let nsets = config.sets();
-        assert!(
-            nsets.is_power_of_two(),
-            "{}: set count {nsets} must be a power of two",
-            config.name
-        );
         Cache {
-            set_mask: (nsets - 1) as u64,
-            ways: config.ways as usize,
-            sets: vec![Vec::with_capacity(config.ways as usize); nsets],
-            config,
-            stats: CacheStats::default(),
+            lines: LruSets::new(config.sets(), usize::from(config.ways)),
         }
-    }
-
-    /// The geometry this cache was built from.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    #[inline]
-    fn set_index(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
     }
 
     /// Access the line containing `addr`, filling on miss. Returns `true`
     /// on hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr >> LINE_SHIFT;
-        let si = self.set_index(line);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            if pos != 0 {
-                let l = set.remove(pos);
-                set.insert(0, l);
-            }
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            if set.len() == self.ways {
-                set.pop();
-                self.stats.evictions += 1;
-            }
-            set.insert(0, line);
-            false
-        }
+        matches!(self.lines.access(addr >> LINE_SHIFT), Mru::Hit(_))
     }
 
-    /// Probe without updating LRU or counters.
+    /// Probe without updating LRU order.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> LINE_SHIFT;
-        self.sets[self.set_index(line)].contains(&line)
+        self.lines.find(addr >> LINE_SHIFT).is_some()
     }
 
     /// Invalidate the whole cache.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.clear();
     }
 
     /// Lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines.occupancy()
     }
 }
 
@@ -174,8 +104,7 @@ mod tests {
         assert!(c.access(0x100));
         assert!(c.access(0x13f)); // same 64B line
         assert!(!c.access(0x140)); // next line
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 2);
+        assert_eq!(c.occupancy(), 2, "two lines filled, nothing evicted");
     }
 
     #[test]
@@ -185,11 +114,11 @@ mod tests {
         c.access(0 << LINE_SHIFT);
         c.access(2 << LINE_SHIFT);
         c.access(0 << LINE_SHIFT); // 2 is now LRU
-        c.access(4 << LINE_SHIFT); // evicts 2
+        assert!(!c.access(4 << LINE_SHIFT)); // misses and evicts 2
         assert!(c.probe(0 << LINE_SHIFT));
         assert!(!c.probe(2 << LINE_SHIFT));
         assert!(c.probe(4 << LINE_SHIFT));
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.occupancy(), 2, "one of three lines evicted");
     }
 
     #[test]

@@ -31,13 +31,13 @@ pub mod numa;
 pub mod sched;
 
 pub use analytic::{evaluate, AnalyticPoint, AnalyticResult};
-pub use cache::{Cache, CacheConfig, CacheStats, LINE_BYTES};
+pub use cache::{Cache, CacheConfig, LINE_BYTES};
 pub use capture::{CaptureCtx, CaptureState};
 pub use config::{
     arm64_2x2_16k, arm64_2x2_4k, modern_x86_2x2, opteron_2x2, xeon_2x2_ht, L2Scope, MachineConfig,
 };
 pub use cost::CostModel;
 pub use ctx::{CodeWalker, MemoryCtx, NullCtx, SimCtx};
-pub use machine::{AccessMode, DataKind, Machine};
+pub use machine::{AccessMode, DataKind, LookupKinds, Machine};
 pub use numa::{NumaConfig, NumaPlacement};
 pub use sched::{AsidMode, SliceScheduler};

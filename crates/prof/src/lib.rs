@@ -18,6 +18,8 @@
 //! reuse-distance histograms into the compact [`StreamProfile`] the
 //! analytic backend evaluates. [`json`] is the workspace's one JSON
 //! codec: the workspace's crates write and read every JSON file with it.
+//! [`lru`] is the one true-LRU set structure under the simulated caches,
+//! the TLB arrays and the capture's per-set conflict trackers.
 
 #![warn(missing_docs)]
 
@@ -35,6 +37,7 @@ pub const ENGINE_VERSION: u32 = 8;
 
 pub mod counters;
 pub mod json;
+pub mod lru;
 pub mod region;
 pub mod report;
 pub mod reuse;

@@ -19,6 +19,7 @@
 //! the crate's one JSON codec, [`crate::json`].
 
 use crate::json::{parse_json, Json, JsonWriter};
+use crate::lru::{move_to_front, LruSets, Mru};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -133,76 +134,6 @@ pub fn conflict_shape_index(granularity: u8, sets: u32, ways: u32) -> Option<usi
         .position(|s| s.granularity == granularity && s.sets == sets && s.ways == ways)
 }
 
-/// Per-set true-LRU stack distances for one [`ConflictShape`].
-struct SetTracker {
-    mask: u64,
-    /// Row `s` (`CONFLICT_DEPTH` keys from `s * CONFLICT_DEPTH`) is set
-    /// `s`'s MRU-first key list; its first `lens[s]` entries are live.
-    keys: Vec<u64>,
-    lens: Vec<u8>,
-}
-
-impl SetTracker {
-    fn new(shape: &ConflictShape) -> Self {
-        SetTracker {
-            mask: u64::from(shape.sets - 1),
-            keys: vec![0; shape.sets as usize * CONFLICT_DEPTH],
-            lens: vec![0; shape.sets as usize],
-        }
-    }
-
-    /// Distance = distinct keys of the same set touched since this key's
-    /// previous access; `None` when cold or deeper than the tracked LRU
-    /// depth (either way a miss at any associativity ≤ the depth).
-    #[inline]
-    fn access(&mut self, key: u64) -> Option<usize> {
-        let set = (key & self.mask) as usize;
-        let row = &mut self.keys[set * CONFLICT_DEPTH..][..CONFLICT_DEPTH];
-        let len = &mut self.lens[set];
-        match move_to_front(row, usize::from(*len), key) {
-            Mru::Hit(d) => Some(d),
-            Mru::Miss(evicted) => {
-                if evicted.is_none() {
-                    *len += 1;
-                }
-                None
-            }
-        }
-    }
-}
-
-/// Outcome of [`move_to_front`].
-enum Mru {
-    /// The key was live at this position, its distance within the list.
-    Hit(usize),
-    /// The key was absent and now leads the list; a full list pushed
-    /// its last key, carried here, off the end.
-    Miss(Option<u64>),
-}
-
-/// Move `key` to the front of the MRU-first list `list[..len]`, whose
-/// capacity is `list.len()`. On a miss the caller grows `len` by one
-/// unless the list was full.
-#[inline]
-fn move_to_front(list: &mut [u64], len: usize, key: u64) -> Mru {
-    // Shift while scanning: each entry takes its predecessor's key until
-    // the key itself turns up.
-    let mut carry = key;
-    for (d, slot) in list[..len].iter_mut().enumerate() {
-        let k = std::mem::replace(slot, carry);
-        if k == key {
-            return Mru::Hit(d);
-        }
-        carry = k;
-    }
-    if len < list.len() {
-        list[len] = carry;
-        Mru::Miss(None)
-    } else {
-        Mru::Miss(Some(carry))
-    }
-}
-
 /// Sparse per-set-distance histogram for one conflict shape: a `w`-way
 /// structure of this geometry misses exactly the accesses with per-set
 /// distance ≥ `w`, plus all of `far`.
@@ -259,10 +190,10 @@ impl DenseConflict {
     }
 
     #[inline]
-    fn add(&mut self, dist: Option<usize>) {
-        match dist {
-            Some(d) => self.counts[d] += 1,
-            None => self.far += 1,
+    fn add(&mut self, access: Mru) {
+        match access {
+            Mru::Hit(d) => self.counts[d] += 1,
+            Mru::Miss(_) => self.far += 1,
         }
     }
 
@@ -633,7 +564,7 @@ pub struct ThreadRecorder {
     code_h: Vec<DenseHist>,
     /// One per-set tracker per [`CONFLICT_SHAPES`] entry (global, like
     /// the reuse trackers: sets stay warm across phases).
-    shapes: Vec<SetTracker>,
+    shapes: Vec<LruSets<CONFLICT_DEPTH>>,
     conflict_h: Vec<[DenseConflict; MODES]>,
 }
 
@@ -661,7 +592,10 @@ impl ThreadRecorder {
             line_h: h3(),
             page_h: PAGE_SHIFTS.iter().map(|_| h3()).collect(),
             code_h: CODE_SHIFTS.iter().map(|_| DenseHist::new()).collect(),
-            shapes: CONFLICT_SHAPES.iter().map(SetTracker::new).collect(),
+            shapes: CONFLICT_SHAPES
+                .iter()
+                .map(|s| LruSets::new(s.sets as usize, CONFLICT_DEPTH))
+                .collect(),
             conflict_h: CONFLICT_SHAPES
                 .iter()
                 .map(|_| {
@@ -697,8 +631,8 @@ impl ThreadRecorder {
             } else {
                 va >> 12
             };
-            let d = self.shapes[i].access(key);
-            self.conflict_h[i][mode].add(d);
+            let a = self.shapes[i].access(key);
+            self.conflict_h[i][mode].add(a);
         }
         if mode == MODE_STREAM {
             // The cycle engine restarts the prefetcher only on TLB misses
@@ -1280,47 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn set_tracker_matches_naive_per_set_lru() {
-        let mut next = draws(0x9e37_79b9);
-        for shape in CONFLICT_SHAPES {
-            let sets = u64::from(shape.sets);
-            // Three hot sets get 48 keys each, more than the tracked
-            // depth; a sprinkle of keys lands anywhere.
-            let hot = [0, 1, sets - 1];
-            let mut tr = SetTracker::new(shape);
-            let mut naive: Vec<Vec<u64>> = vec![Vec::new(); shape.sets as usize];
-            let mut deep = 0;
-            for i in 0..6000 {
-                let key = if next(8) == 0 {
-                    next(1 << 36)
-                } else {
-                    hot[next(3) as usize] + sets * (next(48) << 8)
-                };
-                // Reference: the per-set MRU `Vec` body the flat tracker
-                // replaced.
-                let set = &mut naive[(key & (sets - 1)) as usize];
-                let want = if let Some(pos) = set.iter().position(|&k| k == key) {
-                    let k = set.remove(pos);
-                    set.insert(0, k);
-                    Some(pos)
-                } else {
-                    if set.len() == CONFLICT_DEPTH {
-                        set.pop();
-                        deep += 1;
-                    }
-                    set.insert(0, key);
-                    None
-                };
-                assert_eq!(tr.access(key), want, "{shape:?}: access {i} key {key}");
-            }
-            assert!(
-                deep > 100,
-                "{shape:?}: only {deep} accesses overflowed the depth"
-            );
-        }
-    }
-
-    #[test]
     fn bucket_bounds_partition_the_distance_axis() {
         let mut expect = 0u64;
         for idx in 0..NUM_BUCKETS - 1 {
@@ -1505,14 +1398,14 @@ mod tests {
 
         // Reuse deeper than the tracked depth lands in `far`.
         let shape = &CONFLICT_SHAPES[0];
-        let mut tr = SetTracker::new(shape);
+        let mut tr = LruSets::<CONFLICT_DEPTH>::new(shape.sets as usize, CONFLICT_DEPTH);
         let set_stride = u64::from(shape.sets); // same set every access
         for k in 0..=CONFLICT_DEPTH as u64 {
-            assert_eq!(tr.access(k * set_stride), None);
+            assert!(matches!(tr.access(k * set_stride), Mru::Miss(_)));
         }
-        // Key 0 was pushed out of the depth-32 window: still None.
-        assert_eq!(tr.access(0), None);
+        // Key 0 was pushed out of the depth-32 window: still a miss.
+        assert!(matches!(tr.access(0), Mru::Miss(_)));
         // Key at depth 1 survives and reports its exact distance.
-        assert_eq!(tr.access(CONFLICT_DEPTH as u64 * set_stride), Some(1));
+        assert_eq!(tr.access(CONFLICT_DEPTH as u64 * set_stride), Mru::Hit(1));
     }
 }

@@ -7,10 +7,12 @@
 //! Xeon, 8 vs 32 on the Opteron L1, and *zero* 2 MB entries in the Opteron
 //! L2). [`TlbArray`] models one such array.
 //!
-//! Fully associative arrays use a move-to-front vector, which makes a hit
-//! under high temporal locality O(1)–O(small) and is exactly true LRU.
-//! Set-associative arrays index by the low VPN bits and keep LRU per set.
+//! Entries live in one [`LruSets`]: a fully associative array is one set
+//! of `capacity` ways, so a hit under high temporal locality costs
+//! O(1)–O(small) and is exactly true LRU. Set-associative arrays index by
+//! the low VPN bits and keep LRU per set.
 
+use lpomp_prof::lru::{LruSets, Mru};
 use lpomp_vm::PageSize;
 
 /// Associativity of a TLB array.
@@ -35,33 +37,14 @@ pub struct ArrayStats {
     pub flushes: u64,
 }
 
-impl ArrayStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio in [0, 1]; 0 when no lookups occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
-}
-
 /// One TLB entry array for a single page size.
 #[derive(Debug)]
 pub struct TlbArray {
     page_size: PageSize,
     capacity: u16,
-    ways: u16,
-    set_mask: u64,
-    /// `sets[s]` holds up to `ways` VPNs, MRU first (true LRU order).
-    sets: Vec<Vec<u64>>,
-    stats: ArrayStats,
+    /// Resident VPNs, MRU first per set (true LRU order).
+    entries: LruSets,
+    pub(crate) stats: ArrayStats,
 }
 
 impl TlbArray {
@@ -81,21 +64,15 @@ impl TlbArray {
                 w
             }
         };
-        let nsets = if capacity == 0 {
-            0
+        let entries = if capacity == 0 {
+            LruSets::new(1, 0)
         } else {
-            (capacity / ways).max(1) as usize
+            LruSets::new((capacity / ways) as usize, usize::from(ways))
         };
-        assert!(
-            nsets == 0 || nsets.is_power_of_two(),
-            "set count {nsets} must be a power of two for masking"
-        );
         TlbArray {
             page_size,
             capacity,
-            ways,
-            set_mask: nsets.saturating_sub(1) as u64,
-            sets: vec![Vec::with_capacity(ways as usize); nsets],
+            entries,
             stats: ArrayStats::default(),
         }
     }
@@ -105,16 +82,6 @@ impl TlbArray {
         self.page_size
     }
 
-    /// Total entry capacity.
-    pub fn capacity(&self) -> u16 {
-        self.capacity
-    }
-
-    /// Bytes of address space this array can cover when full ("TLB reach").
-    pub fn coverage_bytes(&self) -> u64 {
-        self.capacity as u64 * self.page_size.bytes()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> ArrayStats {
         self.stats
@@ -122,43 +89,37 @@ impl TlbArray {
 
     /// Current number of live entries across all sets.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
-    #[inline]
-    fn set_index(&self, vpn: u64) -> usize {
-        (vpn & self.set_mask) as usize
+        self.entries.occupancy()
     }
 
     /// Look up a VPN, updating LRU order and counters.
     #[inline]
     pub fn lookup(&mut self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            self.stats.misses += 1;
-            return false;
-        }
-        let si = self.set_index(vpn);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&e| e == vpn) {
-            // Move to front: position 0 is MRU.
-            if pos != 0 {
-                let e = set.remove(pos);
-                set.insert(0, e);
-            }
-            self.stats.hits += 1;
-            true
-        } else {
+        self.hit(vpn) || {
             self.stats.misses += 1;
             false
         }
     }
 
+    /// The hit half of [`lookup`](TlbArray::lookup): when `vpn` is
+    /// resident, move it to the front of its set and count a hit. A miss
+    /// changes nothing, so a caller probing several arrays counts it once
+    /// it knows none of them hit.
+    #[inline]
+    pub(crate) fn hit(&mut self, vpn: u64) -> bool {
+        match self.entries.find(vpn) {
+            Some(pos) => {
+                self.entries.promote(vpn, pos);
+                self.stats.hits += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Probe without disturbing LRU order or counters.
     pub fn probe(&self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        self.sets[self.set_index(vpn)].contains(&vpn)
+        self.entries.find(vpn).is_some()
     }
 
     /// True when `vpn` is the most-recently-used entry of its set — i.e.
@@ -169,10 +130,7 @@ impl TlbArray {
     /// [`lookup`]: TlbArray::lookup
     /// [`record_hit_bypass`]: TlbArray::record_hit_bypass
     pub fn is_mru(&self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        self.sets[self.set_index(vpn)].first() == Some(&vpn)
+        self.entries.is_mru(vpn)
     }
 
     /// Record a hit without searching or reordering the set.
@@ -189,54 +147,31 @@ impl TlbArray {
     }
 
     /// Install a VPN (after a miss + walk), evicting the set's LRU entry if
-    /// full. Returns the evicted VPN, if any.
+    /// full. Returns the evicted VPN, if any. A VPN already present (e.g.
+    /// filled by the other SMT context between our miss and our fill) only
+    /// has its LRU position refreshed.
     pub fn fill(&mut self, vpn: u64) -> Option<u64> {
         if self.capacity == 0 {
             return None;
         }
-        let ways = self.ways as usize;
-        let si = self.set_index(vpn);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&e| e == vpn) {
-            // Already present (e.g. filled by the other SMT context between
-            // our miss and our fill): refresh LRU only.
-            if pos != 0 {
-                let e = set.remove(pos);
-                set.insert(0, e);
+        match self.entries.access(vpn) {
+            Mru::Miss(Some(evicted)) => {
+                self.stats.evictions += 1;
+                Some(evicted)
             }
-            return None;
+            _ => None,
         }
-        let evicted = if set.len() == ways {
-            self.stats.evictions += 1;
-            set.pop()
-        } else {
-            None
-        };
-        set.insert(0, vpn);
-        evicted
     }
 
     /// Invalidate every entry.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.entries.clear();
         self.stats.flushes += 1;
     }
 
     /// Invalidate one page if present (e.g. on munmap).
     pub fn invalidate(&mut self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let si = self.set_index(vpn);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&e| e == vpn) {
-            set.remove(pos);
-            true
-        } else {
-            false
-        }
+        self.entries.remove(vpn)
     }
 }
 
@@ -274,7 +209,7 @@ mod tests {
         assert!(!a.lookup(1));
         assert_eq!(a.fill(1), None);
         assert!(!a.lookup(1));
-        assert_eq!(a.coverage_bytes(), 0);
+        assert_eq!(a.stats().misses, 2);
     }
 
     #[test]
@@ -318,24 +253,6 @@ mod tests {
         assert!(a.invalidate(1));
         assert!(!a.invalidate(1));
         assert!(a.probe(2));
-    }
-
-    #[test]
-    fn coverage_matches_table1_arithmetic() {
-        // Xeon DTLB: 128 × 4 KB = 512 KB; 32 × 2 MB = 64 MB.
-        let small = TlbArray::new(PageSize::Small4K, 128, Assoc::Full);
-        let large = TlbArray::new(PageSize::Large2M, 32, Assoc::Full);
-        assert_eq!(small.coverage_bytes(), 512 * 1024);
-        assert_eq!(large.coverage_bytes(), 64 * 1024 * 1024);
-    }
-
-    #[test]
-    fn miss_ratio_computation() {
-        let mut a = TlbArray::new(PageSize::Small4K, 2, Assoc::Full);
-        a.lookup(1); // miss
-        a.fill(1);
-        a.lookup(1); // hit
-        assert!((a.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -157,23 +157,6 @@ pub struct TlbStats {
     pub cross_asid_evictions: u64,
 }
 
-impl TlbStats {
-    /// All lookups.
-    pub fn lookups(&self) -> u64 {
-        self.l1_hits + self.l2_hits + self.misses
-    }
-
-    /// Full-miss ratio in [0, 1].
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
-}
-
 /// One level's per-rung arrays, indexed by ladder rank.
 #[derive(Debug)]
 struct Level {
@@ -218,29 +201,22 @@ impl Level {
             .map(|a| a.page_size())
     }
 
-    /// Probe every size array for the address; returns the hitting size.
-    fn lookup(&mut self, va: VirtAddr, tag: u64) -> Option<PageSize> {
-        // Hardware probes all arrays concurrently; to keep the LRU state of
-        // the miss path realistic we only update the array that hits, so
-        // probe first (ascending rank) and promote second.
-        match self
-            .arrays
-            .iter()
-            .position(|a| a.probe(va.vpn(a.page_size()) | tag))
-        {
-            Some(i) => {
-                let size = self.arrays[i].page_size();
-                self.arrays[i].lookup(va.vpn(size) | tag);
-                Some(size)
-            }
-            None => {
-                // Record the miss in every array's local stats.
-                for a in &mut self.arrays {
-                    a.lookup(va.vpn(a.page_size()) | tag);
-                }
-                None
+    /// Probe every size array for the address; returns the rank of the
+    /// array that hit. Hardware probes all arrays concurrently; to keep
+    /// the LRU state of the miss path realistic only the first array that
+    /// hits (ascending rank) updates. Each array is scanned once: a miss
+    /// is counted in every array once none of them hit.
+    #[inline]
+    fn lookup(&mut self, va: VirtAddr, tag: u64) -> Option<usize> {
+        for (rank, a) in self.arrays.iter_mut().enumerate() {
+            if a.hit(va.vpn(a.page_size()) | tag) {
+                return Some(rank);
             }
         }
+        for a in &mut self.arrays {
+            a.stats.misses += 1;
+        }
+        None
     }
 
     fn flush(&mut self) {
@@ -360,14 +336,17 @@ impl Tlb {
     /// Translate-lookup for `va`. On an L2 hit the entry is promoted into
     /// L1 (possibly evicting an L1 entry).
     pub fn lookup(&mut self, va: VirtAddr) -> TlbOutcome {
-        if let Some(size) = self.l1.lookup(va, self.tag) {
+        if let Some(rank) = self.l1.lookup(va, self.tag) {
             self.stats.l1_hits += 1;
-            return TlbOutcome::L1Hit(size);
+            return TlbOutcome::L1Hit(self.l1.arrays[rank].page_size());
         }
         if let Some(l2) = &mut self.l2 {
-            if let Some(size) = l2.lookup(va, self.tag) {
+            if let Some(rank) = l2.lookup(va, self.tag) {
                 self.stats.l2_hits += 1;
-                let evicted = self.l1.array_mut(size).fill(va.vpn(size) | self.tag);
+                // Both levels hold one array per ladder rung, in rank order.
+                let l1 = &mut self.l1.arrays[rank];
+                let size = l1.page_size();
+                let evicted = l1.fill(va.vpn(size) | self.tag);
                 Self::note_eviction(&mut self.stats, self.tag, evicted);
                 return TlbOutcome::L2Hit(size);
             }
@@ -589,8 +568,6 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.l1_hits, 1);
         assert_eq!(s.fills, 1);
-        assert_eq!(s.lookups(), 2);
-        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

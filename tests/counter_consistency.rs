@@ -2,8 +2,8 @@
 //! must hold for *every* application and configuration if the machine
 //! model is internally coherent.
 
-use lpomp::core::{run_sim, PagePolicy, RunOpts};
-use lpomp::machine::{opteron_2x2, xeon_2x2_ht};
+use lpomp::core::{run_sim, PagePolicy, RunOpts, System};
+use lpomp::machine::{opteron_2x2, xeon_2x2_ht, LookupKinds};
 use lpomp::npb::{AppKind, Class};
 use lpomp::prof::Event;
 
@@ -241,4 +241,40 @@ fn smt_flush_cycles_only_on_xeon_at_eight_threads() {
         0,
         "one thread per core: no co-residency, no flushes"
     );
+}
+
+#[test]
+fn machine_lookup_kinds_partition_the_translations() {
+    let builder = System::builder(opteron_2x2())
+        .policy(PagePolicy::Small4K)
+        .threads(4);
+    let mut kernel = AppKind::Cg.build(Class::S);
+    let mut sys = builder.build(kernel.as_mut()).expect("system builds");
+    kernel.run(&mut sys.team);
+    let c = sys.team.aggregate_counters();
+    let machine = &sys.team.engine().expect("simulated team").machine;
+    let (mut data, mut code) = (LookupKinds::default(), LookupKinds::default());
+    for core in 0..machine.config().cores() {
+        let (d, i) = machine.lookup_kinds(core);
+        for (sum, k) in [(&mut data, d), (&mut code, i)] {
+            sum.bypass += k.bypass;
+            sum.l1_hits += k.l1_hits;
+            sum.l2_hits += k.l2_hits;
+            sum.walks += k.walks;
+        }
+    }
+    assert!(data.bypass > 0 && data.l1_hits > 0 && data.l2_hits > 0 && data.walks > 0);
+    let full = |k: &LookupKinds| k.l1_hits + k.l2_hits + k.walks;
+    assert_eq!(
+        data.bypass + full(&data),
+        c.get(Event::Loads) + c.get(Event::Stores)
+    );
+    assert_eq!(data.l2_hits, c.get(Event::DtlbL2Hits));
+    assert_eq!(data.walks, c.get(Event::DtlbMisses));
+    assert_eq!(
+        data.bypass + data.l1_hits + data.l2_hits,
+        c.get(Event::DtlbHits)
+    );
+    assert_eq!(code.bypass + full(&code), c.get(Event::IFetches));
+    assert_eq!(code.walks, c.get(Event::ItlbMisses));
 }

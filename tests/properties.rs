@@ -126,32 +126,48 @@ fn schedules_cover_exactly_once() {
     }
 }
 
-/// The TLB array behaves exactly like a reference LRU model.
+/// The TLB array behaves exactly like a reference LRU model (MRU-first
+/// vectors, one per set) under lookups, fills and invalidations: fully
+/// associative arrays of 1–8 entries, then 1–8 sets of 1–4 ways.
 #[test]
 fn tlb_array_matches_reference_lru() {
-    for seed in 0..64u64 {
+    for seed in 0..128u64 {
         let mut rng = Rng::new(0x71b * 31337 + seed);
-        let capacity = 1 + rng.below(8) as u16;
-        let mut tlb = TlbArray::new(PageSize::Small4K, capacity, Assoc::Full);
-        // Reference: vector of vpns, MRU at the front.
-        let mut model: Vec<u64> = Vec::new();
+        let (sets, ways, assoc) = if seed < 64 {
+            let capacity = 1 + rng.below(8) as u16;
+            (1, capacity, Assoc::Full)
+        } else {
+            let ways = 1 + rng.below(4) as u16;
+            (1u16 << rng.below(4), ways, Assoc::Ways(ways))
+        };
+        let mut tlb = TlbArray::new(PageSize::Small4K, sets * ways, assoc);
+        // Reference: per-set vectors of vpns, MRU at the front.
+        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
         let n = 1 + rng.below(299);
-        for _ in 0..n {
+        for step in 0..n {
             let vpn = rng.below(32);
-            let hit = tlb.lookup(vpn);
-            let model_hit = model.contains(&vpn);
-            assert_eq!(hit, model_hit, "seed {seed}: vpn {vpn} divergence");
-            if hit {
-                let pos = model.iter().position(|&v| v == vpn).unwrap();
-                let v = model.remove(pos);
-                model.insert(0, v);
-            } else {
-                tlb.fill(vpn);
-                if model.len() == capacity as usize {
-                    model.pop();
+            let set = &mut model[(vpn % u64::from(sets)) as usize];
+            let pos = set.iter().position(|&v| v == vpn);
+            let at = format!("seed {seed} step {step}: vpn {vpn}");
+            assert_eq!(tlb.probe(vpn), pos.is_some(), "{at}: probe");
+            assert_eq!(tlb.is_mru(vpn), pos == Some(0), "{at}: is_mru");
+            if rng.below(8) == 0 {
+                assert_eq!(tlb.invalidate(vpn), pos.is_some(), "{at}: invalidate");
+                if let Some(p) = pos {
+                    set.remove(p);
                 }
-                model.insert(0, vpn);
+            } else if let Some(p) = pos {
+                assert!(tlb.lookup(vpn), "{at}: lookup should hit");
+                let v = set.remove(p);
+                set.insert(0, v);
+            } else {
+                assert!(!tlb.lookup(vpn), "{at}: lookup should miss");
+                let evicted = (set.len() == usize::from(ways)).then(|| set.pop().unwrap());
+                set.insert(0, vpn);
+                assert_eq!(tlb.fill(vpn), evicted, "{at}: fill");
             }
+            let live: usize = model.iter().map(Vec::len).sum();
+            assert_eq!(tlb.occupancy(), live, "{at}: occupancy");
         }
     }
 }
