@@ -41,6 +41,7 @@ impl CacheConfig {
 /// A set-associative cache with true LRU per set.
 #[derive(Debug)]
 pub struct Cache {
+    config: CacheConfig,
     /// Resident line addresses, MRU first per set.
     lines: LruSets,
 }
@@ -50,7 +51,13 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         Cache {
             lines: LruSets::new(config.sets(), usize::from(config.ways)),
+            config,
         }
+    }
+
+    /// The geometry this cache was built from.
+    pub fn config(&self) -> &CacheConfig {
+        &self.config
     }
 
     /// Access the line containing `addr`, filling on miss. Returns `true`

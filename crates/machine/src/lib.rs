@@ -38,6 +38,6 @@ pub use config::{
 };
 pub use cost::CostModel;
 pub use ctx::{CodeWalker, MemoryCtx, NullCtx, SimCtx};
-pub use machine::{AccessMode, DataKind, LookupKinds, Machine};
+pub use machine::{AccessMode, DataKind, Machine};
 pub use numa::{NumaConfig, NumaPlacement};
 pub use sched::{AsidMode, SliceScheduler};

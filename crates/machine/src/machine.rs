@@ -115,33 +115,6 @@ impl MicroEntry {
     }
 }
 
-/// How one core's translations on one side (data or instruction) were
-/// answered. Machine-side bookkeeping only: it is not an [`Event`], so
-/// counter sheets, stored records and [`TlbStats`] do not see it.
-/// `DtlbHits` counts `bypass + l1_hits + l2_hits` on the data side.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LookupKinds {
-    /// Same-page repeats the micro-TLB answered without a lookup.
-    pub bypass: u64,
-    /// Full lookups that hit the L1 TLB.
-    pub l1_hits: u64,
-    /// Full lookups that hit the L2 TLB.
-    pub l2_hits: u64,
-    /// Full lookups that missed every level and walked.
-    pub walks: u64,
-}
-
-impl LookupKinds {
-    #[inline]
-    fn count(&mut self, outcome: TlbOutcome) {
-        match outcome {
-            TlbOutcome::L1Hit(_) => self.l1_hits += 1,
-            TlbOutcome::L2Hit(_) => self.l2_hits += 1,
-            TlbOutcome::Miss => self.walks += 1,
-        }
-    }
-}
-
 /// The simulated multi-core machine.
 ///
 /// One data and one instruction TLB per core — *shared by that core's SMT
@@ -165,8 +138,8 @@ pub struct Machine {
     micro_data: Vec<Option<MicroEntry>>,
     /// Per-core last-translation cache for the instruction side.
     micro_code: Vec<Option<MicroEntry>>,
-    /// Per-core `(data, instruction)` lookup kinds.
-    lookup_kinds: Vec<(LookupKinds, LookupKinds)>,
+    /// Per-core `(data, instruction)` micro-TLB bypass hits.
+    bypasses: Vec<(u64, u64)>,
     /// NUMA hinting-fault samples (page base → per-node access tallies),
     /// recorded on DTLB misses when sampling is enabled and drained by the
     /// balancing daemon at barriers.
@@ -203,7 +176,7 @@ impl Machine {
             residency: vec![0; cores],
             micro_data: vec![None; cores],
             micro_code: vec![None; cores],
-            lookup_kinds: vec![Default::default(); cores],
+            bypasses: vec![(0, 0); cores],
             hint_samples: None,
             current_asid: 0,
             cfg,
@@ -264,10 +237,14 @@ impl Machine {
         &self.itlbs[core]
     }
 
-    /// How `core`'s `(data, instruction)` translations were answered
-    /// since the machine was built.
-    pub fn lookup_kinds(&self, core: usize) -> (LookupKinds, LookupKinds) {
-        self.lookup_kinds[core]
+    /// How many of `core`'s `(data, instruction)` translations the
+    /// micro-TLB answered without a TLB lookup since the machine was
+    /// built. Machine-side bookkeeping, not an [`Event`]. Each bypass
+    /// also counts in [`TlbStats::l1_hits`], so a side's full lookups are
+    /// `l1_hits - bypasses` L1 hits, `l2_hits` L2 hits and `misses` walks
+    /// of [`dtlb`](Machine::dtlb) / [`itlb`](Machine::itlb)`(core).stats()`.
+    pub fn tlb_bypasses(&self, core: usize) -> (u64, u64) {
+        self.bypasses[core]
     }
 
     /// Switch every core to the address space identified by `asid`.
@@ -515,7 +492,7 @@ impl Machine {
                 counters.bump(Event::DtlbHits);
                 Self::debug_check_bypass(&self.dtlbs[core], va, e.size);
                 self.dtlbs[core].record_l1_hit_bypass(e.size);
-                self.lookup_kinds[core].0.bypass += 1;
+                self.bypasses[core].0 += 1;
                 return Ok(self.memory_stage(core, va, e.home, mode, counters));
             }
         }
@@ -523,9 +500,7 @@ impl Machine {
         let page_size;
         let home;
         let cross_before = self.dtlbs[core].stats().cross_asid_evictions;
-        let outcome = self.dtlbs[core].lookup(va);
-        self.lookup_kinds[core].0.count(outcome);
-        match outcome {
+        match self.dtlbs[core].lookup(va) {
             TlbOutcome::L1Hit(s) => {
                 page_size = s;
                 home = self.resolve_home(aspace, va);
@@ -684,7 +659,7 @@ impl Machine {
                 counters.bump(Event::DtlbHits);
                 Self::debug_check_bypass(&self.dtlbs[core], line, e.size);
                 self.dtlbs[core].record_l1_hit_bypass(e.size);
-                self.lookup_kinds[core].0.bypass += 1;
+                self.bypasses[core].0 += 1;
                 let (mem_cycles, dram, stalled) = self.cache_access(core, line.0, mode, counters);
                 let mut cycles = mem_cycles;
                 if dram {
@@ -724,14 +699,12 @@ impl Machine {
             if e.covers(&self.itlbs[core], self.current_asid, va) {
                 Self::debug_check_bypass(&self.itlbs[core], va, e.size);
                 self.itlbs[core].record_l1_hit_bypass(e.size);
-                self.lookup_kinds[core].1.bypass += 1;
+                self.bypasses[core].1 += 1;
                 return Ok(0);
             }
         }
         let cross_before = self.itlbs[core].stats().cross_asid_evictions;
-        let outcome = self.itlbs[core].lookup(va);
-        self.lookup_kinds[core].1.count(outcome);
-        let (cycles, size) = match outcome {
+        let (cycles, size) = match self.itlbs[core].lookup(va) {
             TlbOutcome::L1Hit(s) => (0, s),
             TlbOutcome::L2Hit(s) => (self.cfg.cost.tlb_l2_hit, s),
             TlbOutcome::Miss => {

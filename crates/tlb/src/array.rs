@@ -37,6 +37,23 @@ pub struct ArrayStats {
     pub flushes: u64,
 }
 
+impl ArrayStats {
+    /// Total lookups.
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
+    /// Miss ratio in [0, 1]; 0 when no lookups occurred.
+    pub fn miss_ratio(&self) -> f64 {
+        let n = self.lookups();
+        if n == 0 {
+            0.0
+        } else {
+            self.misses as f64 / n as f64
+        }
+    }
+}
+
 /// One TLB entry array for a single page size.
 #[derive(Debug)]
 pub struct TlbArray {
@@ -64,15 +81,12 @@ impl TlbArray {
                 w
             }
         };
-        let entries = if capacity == 0 {
-            LruSets::new(1, 0)
-        } else {
-            LruSets::new((capacity / ways) as usize, usize::from(ways))
-        };
+        // A zero-capacity array is one set of no ways.
+        let sets = usize::from((capacity / ways).max(1));
         TlbArray {
             page_size,
             capacity,
-            entries,
+            entries: LruSets::new(sets, usize::from(ways.min(capacity))),
             stats: ArrayStats::default(),
         }
     }
@@ -80,6 +94,16 @@ impl TlbArray {
     /// Page size this array caches translations for.
     pub fn page_size(&self) -> PageSize {
         self.page_size
+    }
+
+    /// Total entry capacity.
+    pub fn capacity(&self) -> u16 {
+        self.capacity
+    }
+
+    /// Bytes of address space this array can cover when full ("TLB reach").
+    pub fn coverage_bytes(&self) -> u64 {
+        self.capacity as u64 * self.page_size.bytes()
     }
 
     /// Statistics snapshot.
@@ -209,7 +233,7 @@ mod tests {
         assert!(!a.lookup(1));
         assert_eq!(a.fill(1), None);
         assert!(!a.lookup(1));
-        assert_eq!(a.stats().misses, 2);
+        assert_eq!(a.coverage_bytes(), 0);
     }
 
     #[test]
@@ -253,6 +277,24 @@ mod tests {
         assert!(a.invalidate(1));
         assert!(!a.invalidate(1));
         assert!(a.probe(2));
+    }
+
+    #[test]
+    fn coverage_matches_table1_arithmetic() {
+        // Xeon DTLB: 128 × 4 KB = 512 KB; 32 × 2 MB = 64 MB.
+        let small = TlbArray::new(PageSize::Small4K, 128, Assoc::Full);
+        let large = TlbArray::new(PageSize::Large2M, 32, Assoc::Full);
+        assert_eq!(small.coverage_bytes(), 512 * 1024);
+        assert_eq!(large.coverage_bytes(), 64 * 1024 * 1024);
+    }
+
+    #[test]
+    fn miss_ratio_computation() {
+        let mut a = TlbArray::new(PageSize::Small4K, 2, Assoc::Full);
+        a.lookup(1); // miss
+        a.fill(1);
+        a.lookup(1); // hit
+        assert!((a.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -157,6 +157,23 @@ pub struct TlbStats {
     pub cross_asid_evictions: u64,
 }
 
+impl TlbStats {
+    /// All lookups.
+    pub fn lookups(&self) -> u64 {
+        self.l1_hits + self.l2_hits + self.misses
+    }
+
+    /// Full-miss ratio in [0, 1].
+    pub fn miss_ratio(&self) -> f64 {
+        let n = self.lookups();
+        if n == 0 {
+            0.0
+        } else {
+            self.misses as f64 / n as f64
+        }
+    }
+}
+
 /// One level's per-rung arrays, indexed by ladder rank.
 #[derive(Debug)]
 struct Level {
@@ -568,6 +585,8 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.l1_hits, 1);
         assert_eq!(s.fills, 1);
+        assert_eq!(s.lookups(), 2);
+        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! model is internally coherent.
 
 use lpomp::core::{run_sim, PagePolicy, RunOpts, System};
-use lpomp::machine::{opteron_2x2, xeon_2x2_ht, LookupKinds};
+use lpomp::machine::{opteron_2x2, xeon_2x2_ht};
 use lpomp::npb::{AppKind, Class};
 use lpomp::prof::Event;
 
@@ -244,7 +244,7 @@ fn smt_flush_cycles_only_on_xeon_at_eight_threads() {
 }
 
 #[test]
-fn machine_lookup_kinds_partition_the_translations() {
+fn micro_tlb_bypasses_partition_the_translations() {
     let builder = System::builder(opteron_2x2())
         .policy(PagePolicy::Small4K)
         .threads(4);
@@ -253,28 +253,37 @@ fn machine_lookup_kinds_partition_the_translations() {
     kernel.run(&mut sys.team);
     let c = sys.team.aggregate_counters();
     let machine = &sys.team.engine().expect("simulated team").machine;
-    let (mut data, mut code) = (LookupKinds::default(), LookupKinds::default());
+    // Full lookups that hit L1: the TLB's L1 hits less the bypasses
+    // recorded into them, per core and side.
+    let (mut bypass, mut full_l1) = ([0u64; 2], [0u64; 2]);
     for core in 0..machine.config().cores() {
-        let (d, i) = machine.lookup_kinds(core);
-        for (sum, k) in [(&mut data, d), (&mut code, i)] {
-            sum.bypass += k.bypass;
-            sum.l1_hits += k.l1_hits;
-            sum.l2_hits += k.l2_hits;
-            sum.walks += k.walks;
+        let (d, i) = machine.tlb_bypasses(core);
+        let hits = [
+            machine.dtlb(core).stats().l1_hits,
+            machine.itlb(core).stats().l1_hits,
+        ];
+        for (side, b) in [d, i].into_iter().enumerate() {
+            full_l1[side] += hits[side]
+                .checked_sub(b)
+                .expect("a bypass is one of the core's L1 hits");
+            bypass[side] += b;
         }
     }
-    assert!(data.bypass > 0 && data.l1_hits > 0 && data.l2_hits > 0 && data.walks > 0);
-    let full = |k: &LookupKinds| k.l1_hits + k.l2_hits + k.walks;
+    let (data, code) = machine.tlb_totals();
+    assert!(bypass[0] > 0 && full_l1[0] > 0 && data.l2_hits > 0 && data.misses > 0);
     assert_eq!(
-        data.bypass + full(&data),
+        bypass[0] + full_l1[0] + data.l2_hits + data.misses,
         c.get(Event::Loads) + c.get(Event::Stores)
     );
     assert_eq!(data.l2_hits, c.get(Event::DtlbL2Hits));
-    assert_eq!(data.walks, c.get(Event::DtlbMisses));
+    assert_eq!(data.misses, c.get(Event::DtlbMisses));
     assert_eq!(
-        data.bypass + data.l1_hits + data.l2_hits,
+        bypass[0] + full_l1[0] + data.l2_hits,
         c.get(Event::DtlbHits)
     );
-    assert_eq!(code.bypass + full(&code), c.get(Event::IFetches));
-    assert_eq!(code.walks, c.get(Event::ItlbMisses));
+    assert_eq!(
+        bypass[1] + full_l1[1] + code.l2_hits + code.misses,
+        c.get(Event::IFetches)
+    );
+    assert_eq!(code.misses, c.get(Event::ItlbMisses));
 }

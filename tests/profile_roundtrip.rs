@@ -5,6 +5,7 @@
 //! the original, for every machine preset and page policy.
 
 use lpomp::core::capture_profile;
+use lpomp::core::store::{fnv1a64, FNV_OFFSET};
 use lpomp::machine::{evaluate, opteron_2x2, xeon_2x2_ht, AnalyticPoint};
 use lpomp::npb::{AppKind, Class, ProfileCache};
 use lpomp::prof::reuse::StreamProfile;
@@ -52,13 +53,6 @@ fn reloaded_profile_predicts_byte_identically() {
     assert!(before.iter().all(|r| r.cycles > 0));
 }
 
-/// 64-bit FNV-1a, to pin a profile's JSON by value.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The class-S profiles the capture produces, pinned by JSON length and
 /// FNV-1a 64, so a faster capture must keep every byte. CG at 8 threads
 /// captures on the Xeon preset (more threads than the Opteron has
@@ -75,7 +69,7 @@ fn captured_profiles_are_pinned_byte_for_byte() {
     let mut drift = Vec::new();
     for (app, threads, len, fnv) in pins {
         let json = capture_profile(app, Class::S, threads).to_json();
-        let got = (json.len(), fnv1a64(json.as_bytes()));
+        let got = (json.len(), fnv1a64(FNV_OFFSET, json.as_bytes()));
         if got != (len, fnv) {
             drift.push(format!(
                 "{app} S@{threads}: {} bytes, FNV {:#018x}; pinned {len} bytes, FNV {fnv:#018x}",
