@@ -359,11 +359,6 @@ impl SystemBuilder {
         &self.cfg
     }
 
-    /// Unwrap into the plain [`SystemConfig`].
-    pub fn into_config(self) -> SystemConfig {
-        self.cfg
-    }
-
     /// Assemble the system and run the kernel's `setup` in its heap.
     pub fn build(&self, kernel: &mut dyn Kernel) -> VmResult<System> {
         System::build(&self.cfg, kernel)
@@ -404,7 +399,17 @@ impl System {
         let mut machine = Machine::new(cfg.machine.clone());
         let (aspace, setup, heap_base, walker) =
             Self::build_parts(cfg, kernel, &mut machine, None)?;
-        let mut engine = SimEngine::new(machine, aspace, cfg.threads, walker, cfg.quantum);
+        Ok(System {
+            team: Team::simulated(Self::engine(cfg, machine, aspace, walker)),
+            setup,
+            heap_base,
+        })
+    }
+
+    /// Wire the simulated engine `cfg` asks for around one process:
+    /// daemons, profiler, schedule override and steal policy.
+    fn engine(cfg: &SystemConfig, m: Machine, aspace: AddressSpace, code: CodeWalker) -> SimEngine {
+        let mut engine = SimEngine::new(m, aspace, cfg.threads, code, cfg.quantum);
         if let Some(k) = cfg.khugepaged {
             engine.enable_khugepaged(k);
         }
@@ -414,11 +419,7 @@ impl System {
         engine.enable_profiling(cfg.profile);
         engine.set_schedule_override(cfg.schedule);
         engine.set_steal_policy(cfg.steal);
-        Ok(System {
-            team: Team::simulated(engine),
-            setup,
-            heap_base,
-        })
+        engine
     }
 
     /// Steps (2)–(6) of bring-up for one process: code segment (plus the
@@ -845,17 +846,7 @@ impl MultiSystem {
             // The engine starts on a placeholder machine (same config);
             // the real one arrives with its first timeslice grant.
             let placeholder = Machine::new(cfg.machine.clone());
-            let mut engine =
-                SimEngine::new(placeholder, aspace, spec.threads, walker, tcfg.quantum);
-            if let Some(k) = tcfg.khugepaged {
-                engine.enable_khugepaged(k);
-            }
-            if let Some(nd) = tcfg.numa_daemon {
-                engine.enable_numa_daemon(nd);
-            }
-            engine.enable_profiling(tcfg.profile);
-            engine.set_schedule_override(tcfg.schedule);
-            engine.set_steal_policy(tcfg.steal);
+            let engine = System::engine(&tcfg, placeholder, aspace, walker);
             refs.push(kernel.reference());
             setup.push(s);
             tasks.push(TenantTask {
@@ -1087,35 +1078,57 @@ mod tests {
         // The twin test: one tenant under the timeslice scheduler with
         // ASID tagging must reproduce the unscheduled system exactly —
         // same checksum, same counters (including zero switch charges),
-        // same clock.
-        let mut kernel = AppKind::Cg.build(Class::S);
-        let mut plain = System::builder(opteron_2x2())
-            .threads(2)
-            .policy(PagePolicy::Large2M)
-            .build(kernel.as_mut())
-            .unwrap();
-        let cs = kernel.run(&mut plain.team);
-        let plain_counters = plain.team.aggregate_counters();
-        let plain_cycles = plain.team.elapsed_cycles();
+        // same clock. The daemon cases cover the tenant's engine wiring
+        // and the hint samples it hands off at every slice yield.
+        let mut numa = opteron_2x2();
+        numa.numa = Some(NumaConfig::opteron(NumaPlacement::FirstTouch));
+        let cases = [
+            (
+                AppKind::Cg,
+                2,
+                System::builder(opteron_2x2()).policy(PagePolicy::Large2M),
+            ),
+            (
+                AppKind::Cg,
+                4,
+                System::builder(opteron_2x2()).thp_daemon(true),
+            ),
+            (
+                AppKind::Mg,
+                4,
+                System::builder(numa)
+                    .populate(PopulatePolicy::OnDemand)
+                    .numa_daemon(NumaDaemonConfig::default()),
+            ),
+        ];
+        for (app, threads, b) in cases {
+            let b = b.threads(threads);
+            let mut kernel = app.build(Class::S);
+            let mut plain = b.build(kernel.as_mut()).unwrap();
+            let cs = kernel.run(&mut plain.team);
+            let plain_counters = plain.team.aggregate_counters();
+            let plain_cycles = plain.team.elapsed_cycles();
 
-        let report = System::builder(opteron_2x2())
-            .threads(2)
-            .policy(PagePolicy::Large2M)
-            .tenants(vec![TenantSpec::new("solo", AppKind::Cg, Class::S, 2)])
-            .timeslice(200_000)
-            .build_tenants()
-            .unwrap()
-            .run();
-        assert_eq!(report.tenants.len(), 1);
-        let t = &report.tenants[0];
-        assert!(t.verified);
-        assert_eq!(t.checksum, cs);
-        assert_eq!(t.counters, plain_counters);
-        assert_eq!(t.finish_cycles, plain_cycles);
-        assert_eq!(t.counters.get(lpomp_prof::Event::ContextSwitches), 0);
-        assert_eq!(t.counters.get(lpomp_prof::Event::DeschedCycles), 0);
-        assert_eq!(report.switches, 0);
-        assert!(report.slices > 1, "timeslicing never kicked in");
+            let report = b
+                .tenants(vec![TenantSpec::new("solo", app, Class::S, threads)])
+                .timeslice(200_000)
+                .build_tenants()
+                .unwrap()
+                .run();
+            assert_eq!(report.tenants.len(), 1);
+            let t = &report.tenants[0];
+            assert!(t.verified, "{app} t{threads}");
+            assert_eq!(t.checksum, cs, "{app} t{threads}");
+            assert_eq!(t.counters, plain_counters, "{app} t{threads}");
+            assert_eq!(t.finish_cycles, plain_cycles, "{app} t{threads}");
+            assert_eq!(t.counters.get(lpomp_prof::Event::ContextSwitches), 0);
+            assert_eq!(t.counters.get(lpomp_prof::Event::DeschedCycles), 0);
+            assert_eq!(report.switches, 0);
+            assert!(
+                report.slices > 1,
+                "{app} t{threads}: timeslicing never kicked in"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! §4.3); what the reproduction actually depends on is the *ratios* —
 //! DRAM ≫ L2 ≫ L1, and a page walk costing a few cache accesses.
 
+use lpomp_vm::DaemonCosts;
+
 /// Cycle charges for every modelled event.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -206,6 +208,17 @@ impl CostModel {
     /// both backends charge.
     pub fn walk_cached_cycles(&self) -> u64 {
         self.walk_base + self.l2_hit
+    }
+
+    /// Unit prices of the barrier daemons' work (khugepaged and the NUMA
+    /// balancer).
+    pub fn daemon_costs(&self) -> DaemonCosts {
+        DaemonCosts {
+            // One PTE inspection: a cached read plus loop overhead.
+            scan_page: self.l1_hit + 2,
+            migrate_page: self.migrate_page,
+            pt_edit: self.pt_edit,
+        }
     }
 }
 

@@ -17,8 +17,8 @@ use crate::schedule::{plan, Plan, Schedule};
 use lpomp_machine::{CaptureState, CodeWalker, Machine, MemoryCtx, NullCtx, SimCtx};
 use lpomp_prof::{Counters, Event, Profile, ProfileSheet, ProfileSpec, RegionProfiler};
 use lpomp_vm::{
-    AddressSpace, DaemonCosts, HintSamples, Khugepaged, KhugepagedConfig, NumaDaemon,
-    NumaDaemonConfig, VirtAddr, MAX_CORES, MAX_NUMA_NODES,
+    AddressSpace, HintSamples, Khugepaged, KhugepagedConfig, NumaDaemon, NumaDaemonConfig,
+    VirtAddr, MAX_CORES, MAX_NUMA_NODES,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
@@ -173,8 +173,8 @@ pub struct SimEngine {
     placement: Vec<usize>,
     threads: usize,
     quantum: usize,
-    daemon: Option<(Khugepaged, DaemonCosts)>,
-    numa_daemon: Option<(NumaDaemon, DaemonCosts)>,
+    daemon: Option<Khugepaged>,
+    numa_daemon: Option<NumaDaemon>,
     profiler: Option<Box<RegionProfiler>>,
     capture: Option<Box<CaptureState>>,
     slice: Option<SliceLink>,
@@ -294,7 +294,7 @@ impl SimEngine {
             .collect();
         let active = grant.switch_cost > 0 || desched.iter().any(|&d| d > 0);
         if active {
-            self.prof_enter("os:sched");
+            self.region_enter("os:sched");
             for (t, &wait) in desched.iter().enumerate() {
                 if wait > 0 {
                     self.clocks[t] += wait;
@@ -305,7 +305,7 @@ impl SimEngine {
                 self.charge_all(grant.switch_cost);
                 self.profile.thread_mut(0).bump(Event::ContextSwitches);
             }
-            self.prof_exit();
+            self.region_exit();
         }
     }
 
@@ -314,9 +314,8 @@ impl SimEngine {
     /// so they belong to its own balancing daemon (and are discarded when
     /// it has none, as the kernel does for an untracked process).
     fn yield_machine(&mut self, finished: bool) {
-        let mut batch = self.machine.drain_hint_samples();
-        batch.merge(std::mem::take(&mut self.hint_stash));
-        if let Some((d, _)) = &mut self.numa_daemon {
+        let batch = self.pending_hints();
+        if let Some(d) = &mut self.numa_daemon {
             d.absorb(batch);
         }
         let clock = self.clocks.iter().copied().min().unwrap_or(0);
@@ -417,14 +416,6 @@ impl SimEngine {
         }
     }
 
-    fn prof_enter(&mut self, name: &str) {
-        self.region_enter(name);
-    }
-
-    fn prof_exit(&mut self) {
-        self.region_exit();
-    }
-
     fn prof_instant(&mut self, name: &str, thread: usize) {
         if let Some(p) = &mut self.profiler {
             p.instant(name, thread, self.clocks[thread]);
@@ -449,19 +440,12 @@ impl SimEngine {
     /// holds `mmap_sem`-like locks, so application threads stall), with a
     /// broadcast TLB shootdown whenever it changed any translation.
     pub fn enable_khugepaged(&mut self, cfg: KhugepagedConfig) {
-        let c = self.machine.cost();
-        let costs = DaemonCosts {
-            // One PTE inspection: a cached read plus loop overhead.
-            scan_page: c.l1_hit + 2,
-            migrate_page: c.migrate_page,
-            pt_edit: c.pt_edit,
-        };
-        self.daemon = Some((Khugepaged::new(cfg), costs));
+        self.daemon = Some(Khugepaged::new(cfg));
     }
 
     /// The attached daemon, if any (its lifetime totals and idle state).
     pub fn daemon(&self) -> Option<&Khugepaged> {
-        self.daemon.as_ref().map(|(d, _)| d)
+        self.daemon.as_ref()
     }
 
     /// Attach an AutoNUMA-style balancing daemon. The machine starts
@@ -471,19 +455,13 @@ impl SimEngine {
     /// khugepaged: scan cycles stall all cores, migrations cost a
     /// broadcast shootdown.
     pub fn enable_numa_daemon(&mut self, cfg: NumaDaemonConfig) {
-        let c = self.machine.cost();
-        let costs = DaemonCosts {
-            scan_page: c.l1_hit + 2,
-            migrate_page: c.migrate_page,
-            pt_edit: c.pt_edit,
-        };
         self.machine.enable_hint_sampling();
-        self.numa_daemon = Some((NumaDaemon::new(cfg), costs));
+        self.numa_daemon = Some(NumaDaemon::new(cfg));
     }
 
     /// The attached NUMA balancing daemon, if any.
     pub fn numa_daemon(&self) -> Option<&NumaDaemon> {
-        self.numa_daemon.as_ref().map(|(d, _)| d)
+        self.numa_daemon.as_ref()
     }
 
     /// Core assigned to a logical thread.
@@ -510,11 +488,6 @@ impl SimEngine {
         }
     }
 
-    /// Flush every core's TLBs (global shootdown).
-    pub fn flush_tlbs(&mut self) {
-        self.machine.flush_all_tlbs();
-    }
-
     /// Broadcast TLB shootdown with its cost: every core takes the IPI
     /// (charged to its clock) and flushes its TLBs.
     pub fn tlb_shootdown(&mut self) {
@@ -534,77 +507,52 @@ impl SimEngine {
     }
 
     /// Run `body` over `plan` event-driven, returning per-thread partials.
+    /// The lowest-clock thread with work left runs its next quantum (ties
+    /// go to the lowest id); a thread holding no chunk claims from its own
+    /// static list first, then from the shared dynamic/guided queue — the
+    /// deterministic analogue of a shared iteration counter.
     fn run(&mut self, p: &Plan, body: ReduceBody<'_>, red: Reduction) -> Vec<f64> {
         self.ensure_granted();
         let mut partials = vec![red.identity(); self.threads];
-        match p {
-            Plan::Fixed(per) => {
-                // Cursor per thread: (chunk index, offset within chunk).
-                let mut cursor: Vec<(usize, usize)> = vec![(0, 0); self.threads];
-                loop {
-                    self.maybe_slice_yield();
-                    // Lowest-clock unfinished thread runs next.
-                    let mut next: Option<usize> = None;
-                    for t in 0..self.threads {
-                        let (ci, _) = cursor[t];
-                        if ci < per[t].len() && next.is_none_or(|b| self.clocks[t] < self.clocks[b])
-                        {
-                            next = Some(t);
-                        }
-                    }
-                    let Some(t) = next else { break };
-                    let (ci, off) = cursor[t];
-                    let chunk = &per[t][ci];
-                    let start = chunk.start + off;
-                    let end = (start + self.quantum).min(chunk.end);
-                    let v = self.exec_quantum(t, start..end, body);
-                    partials[t] = red.combine(partials[t], v);
-                    if end == chunk.end {
-                        cursor[t] = (ci + 1, 0);
-                    } else {
-                        cursor[t] = (ci, off + (end - start));
-                    }
+        let (lists, queue): (&[Vec<Range<usize>>], &[Range<usize>]) = match p {
+            Plan::Fixed(per) => (per, &[]),
+            Plan::Queue(q) => (&[], q),
+            Plan::Hier(per) => {
+                self.run_hier(per, body, red, &mut partials);
+                return partials;
+            }
+        };
+        // Per thread: the next chunk of its own list, and what is left of
+        // the chunk it holds.
+        let mut own = vec![0usize; self.threads];
+        let mut held = vec![0..0; self.threads];
+        let mut qi = 0usize;
+        loop {
+            self.maybe_slice_yield();
+            let mut next: Option<usize> = None;
+            for t in 0..self.threads {
+                let has_work = !held[t].is_empty()
+                    || own[t] < lists.get(t).map_or(0, Vec::len)
+                    || qi < queue.len();
+                if has_work && next.is_none_or(|b| self.clocks[t] < self.clocks[b]) {
+                    next = Some(t);
                 }
             }
-            Plan::Queue(q) => {
-                // Dynamic self-scheduling: the thread with the lowest clock
-                // claims the next chunk — the deterministic analogue of a
-                // shared iteration counter.
-                let mut qi = 0usize;
-                let mut current: Vec<Option<(Range<usize>, usize)>> = vec![None; self.threads];
-                loop {
-                    self.maybe_slice_yield();
-                    let mut next: Option<usize> = None;
-                    #[allow(clippy::needless_range_loop)] // t indexes three arrays
-                    for t in 0..self.threads {
-                        let has_work = current[t].is_some() || qi < q.len();
-                        if has_work && next.is_none_or(|b| self.clocks[t] < self.clocks[b]) {
-                            next = Some(t);
-                        }
-                    }
-                    let Some(t) = next else { break };
-                    if current[t].is_none() {
-                        if qi >= q.len() {
-                            // Another thread should claim instead; mark this
-                            // thread idle by skipping (it had no work).
-                            break;
-                        }
-                        current[t] = Some((q[qi].clone(), 0));
-                        qi += 1;
-                    }
-                    let (chunk, off) = current[t].clone().unwrap();
-                    let start = chunk.start + off;
-                    let end = (start + self.quantum).min(chunk.end);
-                    let v = self.exec_quantum(t, start..end, body);
-                    partials[t] = red.combine(partials[t], v);
-                    if end == chunk.end {
-                        current[t] = None;
-                    } else {
-                        current[t] = Some((chunk, off + (end - start)));
-                    }
-                }
+            let Some(t) = next else { break };
+            if held[t].is_empty() {
+                held[t] = if let Some(c) = lists.get(t).and_then(|l| l.get(own[t])) {
+                    own[t] += 1;
+                    c.clone()
+                } else {
+                    qi += 1;
+                    queue[qi - 1].clone()
+                };
             }
-            Plan::Hier(per) => self.run_hier(per, body, red, &mut partials),
+            let start = held[t].start;
+            let end = (start + self.quantum).min(held[t].end);
+            held[t].start = end;
+            let v = self.with_ctx(t, |ctx| body(ctx, start..end));
+            partials[t] = red.combine(partials[t], v);
         }
         partials
     }
@@ -712,7 +660,7 @@ impl SimEngine {
                         .copied()
                         .find(|&u| !deques[u].is_empty())
                         .expect("queued work must have a victim");
-                    self.prof_enter("rt:steal");
+                    self.region_enter("rt:steal");
                     if my_node[v] != my_node[t] {
                         // Remote: take a batch off the victim's tail,
                         // preserving chunk order.
@@ -731,7 +679,7 @@ impl SimEngine {
                         self.charge_one(t, cm.steal_local);
                         self.profile.thread_mut(t).bump(Event::LocalSteals);
                     }
-                    self.prof_exit();
+                    self.region_exit();
                     deques[t].pop_front().expect("thief's deque stocked")
                 };
                 if my_node[t] == self.hier[si].affinity[c] {
@@ -743,7 +691,7 @@ impl SimEngine {
             let chunk = self.hier[si].chunks[c].clone();
             let start = chunk.start + off;
             let end = (start + self.quantum).min(chunk.end);
-            let v = self.exec_quantum(t, start..end, body);
+            let v = self.with_ctx(t, |ctx| body(ctx, start..end));
             partials[t] = red.combine(partials[t], v);
             if end == chunk.end {
                 active[t] = None;
@@ -811,27 +759,21 @@ impl SimEngine {
         }
     }
 
-    /// Execute one quantum on logical thread `t`.
-    fn exec_quantum(&mut self, t: usize, r: Range<usize>, body: ReduceBody<'_>) -> f64 {
-        let core = self.placement[t];
-        let ctx = SimCtx::new(
+    /// Run `f` in logical thread `t`'s memory context, wrapped in the
+    /// capture's context when a capture is attached.
+    fn with_ctx<R>(&mut self, t: usize, f: impl FnOnce(&mut dyn MemoryCtx) -> R) -> R {
+        let mut ctx = SimCtx::new(
             &mut self.machine,
             &mut self.aspace,
             self.profile.thread_mut(t),
             &mut self.clocks[t],
             &mut self.walkers[t],
-            core,
+            self.placement[t],
             t,
         );
         match &mut self.capture {
-            Some(cap) => {
-                let mut ctx = cap.ctx(ctx, t);
-                body(&mut ctx, r)
-            }
-            None => {
-                let mut ctx = ctx;
-                body(&mut ctx, r)
-            }
+            Some(cap) => f(&mut cap.ctx(ctx, t)),
+            None => f(&mut ctx),
         }
     }
 
@@ -842,7 +784,7 @@ impl SimEngine {
         if let Some(c) = &mut self.capture {
             c.barrier();
         }
-        self.prof_enter("rt:barrier");
+        self.region_enter("rt:barrier");
         let max = self.elapsed_cycles();
         let cost = self.machine.cost().barrier_cycles(self.threads);
         for t in 0..self.threads {
@@ -853,7 +795,7 @@ impl SimEngine {
             c.add(Event::Cycles, wait);
             self.clocks[t] = max + cost;
         }
-        self.prof_exit();
+        self.region_exit();
         self.daemon_step();
         // Attribution must never lose or invent an event: every region sum
         // equals the global counter, checked at each join in debug builds.
@@ -876,113 +818,119 @@ impl SimEngine {
         }
     }
 
+    /// The NUMA hint samples not yet handed to a daemon: the machine's
+    /// pending batch plus what the scheduler drained mid-loop.
+    fn pending_hints(&mut self) -> HintSamples {
+        let mut batch = self.machine.drain_hint_samples();
+        batch.merge(std::mem::take(&mut self.hint_stash));
+        batch
+    }
+
     /// Run the barrier-time daemons (khugepaged, then the NUMA balancer)
-    /// and charge their work to the simulated timeline: every core stalls
-    /// for the scan's cycles, and any translation change costs a
-    /// broadcast shootdown IPI plus a full TLB flush on every core. With
-    /// replicated page tables every PTE edit a daemon makes is broadcast
-    /// to the other nodes' replicas, so replication taxes the daemons too.
+    /// and charge their work to the simulated timeline through
+    /// [`Self::daemon_episode`]. With replicated page tables every PTE
+    /// edit a daemon makes is broadcast to the other nodes' replicas, so
+    /// replication taxes the daemons too.
     fn daemon_step(&mut self) {
         let replica = self.replica_edit_factor();
-        if let Some((mut daemon, costs)) = self.daemon.take() {
+        let costs = self.machine.cost().daemon_costs();
+        if let Some(daemon) = &mut self.daemon {
             let out = daemon
                 .scan(&mut self.aspace, &mut self.machine.frames, &costs)
                 .expect("khugepaged scan failed");
             // Split the charge into the scan/collapse share and the
             // compaction share so each lands in its own region; the two
             // sum exactly to the single pre-split charge.
-            let compact_share = out.compact_cycles + out.compact_pt_edits * replica * costs.pt_edit;
-            let scan_share = (out.cycles - out.compact_cycles)
+            let compact = out.compact_cycles + out.compact_pt_edits * replica * costs.pt_edit;
+            let scan = (out.cycles - out.compact_cycles)
                 + (out.pt_edits - out.compact_pt_edits) * replica * costs.pt_edit;
-            let cycles = scan_share + compact_share;
-            let active = cycles > 0 || out.shootdown;
-            if active {
-                self.prof_enter("os:khugepaged");
-            }
-            if scan_share > 0 {
-                self.charge_all(scan_share);
-            }
-            if compact_share > 0 {
-                self.prof_enter("os:compaction");
-                self.charge_all(compact_share);
-                self.prof_exit();
-            }
-            if out.shootdown {
-                self.tlb_shootdown();
-            }
-            // Daemon activity is bookkept on the master thread's sheet.
-            let c = self.profile.thread_mut(0);
-            c.add(Event::DaemonCycles, cycles);
-            c.add(Event::PagesCollapsed, out.collapsed);
-            c.add(Event::PagesCompacted, out.compact_migrated);
-            c.add(Event::PagesDemoted, out.demoted);
-            if active {
-                self.prof_exit();
-            }
-            self.daemon = Some((daemon, costs));
+            let tallies = [
+                (Event::PagesCollapsed, out.collapsed),
+                (Event::PagesCompacted, out.compact_migrated),
+                (Event::PagesDemoted, out.demoted),
+            ];
+            self.daemon_episode(
+                "os:khugepaged",
+                scan,
+                compact,
+                false,
+                out.shootdown,
+                &tallies,
+            );
         }
-        if let Some((mut daemon, costs)) = self.numa_daemon.take() {
-            let mut batch = self.machine.drain_hint_samples();
-            batch.merge(std::mem::take(&mut self.hint_stash));
-            daemon.absorb(batch);
-            if self.steal.pages_follow_work && !self.work_hints.is_empty() {
-                daemon.set_work_hints(std::mem::take(&mut self.work_hints));
-            }
-            let out = daemon
-                .scan(&mut self.aspace, &mut self.machine.frames, &costs)
-                .expect("numa balancing scan failed");
-            let cycles = out.cycles + out.pt_edits * replica * costs.pt_edit;
-            let active = cycles > 0 || out.shootdown;
-            if active {
-                self.prof_enter("os:numa");
-            }
-            if cycles > 0 {
-                self.charge_all(cycles);
-            }
-            if out.migrated > 0 {
-                self.prof_instant("numa-migration", 0);
-            }
-            if out.shootdown {
-                self.tlb_shootdown();
-            }
-            let c = self.profile.thread_mut(0);
-            c.add(Event::DaemonCycles, cycles);
-            c.add(Event::PagesMigrated, out.migrated);
-            if active {
-                self.prof_exit();
-            }
-            self.numa_daemon = Some((daemon, costs));
-        } else {
+        let Some(mut daemon) = self.numa_daemon.take() else {
             // No balancer: scheduler-drained samples and published hints
             // have no consumer; drop them so they can't grow unbounded.
             self.hint_stash = HintSamples::new();
             self.work_hints.clear();
+            return;
+        };
+        daemon.absorb(self.pending_hints());
+        if self.steal.pages_follow_work && !self.work_hints.is_empty() {
+            daemon.set_work_hints(std::mem::take(&mut self.work_hints));
+        }
+        let out = daemon
+            .scan(&mut self.aspace, &mut self.machine.frames, &costs)
+            .expect("numa balancing scan failed");
+        self.numa_daemon = Some(daemon);
+        let cycles = out.cycles + out.pt_edits * replica * costs.pt_edit;
+        let tallies = [(Event::PagesMigrated, out.migrated)];
+        self.daemon_episode(
+            "os:numa",
+            cycles,
+            0,
+            out.migrated > 0,
+            out.shootdown,
+            &tallies,
+        );
+    }
+
+    /// Charge one daemon invocation, in this order: enter `region` when it
+    /// did anything, stall every core for `cycles`, then for `compact`
+    /// inside a nested `os:compaction` region, mark the `numa-migration`
+    /// instant, take the broadcast shootdown when a translation changed,
+    /// and book the cycles and `tallies` on the master thread's sheet.
+    fn daemon_episode(
+        &mut self,
+        region: &str,
+        cycles: u64,
+        compact: u64,
+        migrated: bool,
+        shootdown: bool,
+        tallies: &[(Event, u64)],
+    ) {
+        let active = cycles + compact > 0 || shootdown;
+        if active {
+            self.region_enter(region);
+        }
+        if cycles > 0 {
+            self.charge_all(cycles);
+        }
+        if compact > 0 {
+            self.region_enter("os:compaction");
+            self.charge_all(compact);
+            self.region_exit();
+        }
+        if migrated {
+            self.prof_instant("numa-migration", 0);
+        }
+        if shootdown {
+            self.tlb_shootdown();
+        }
+        let c = self.profile.thread_mut(0);
+        c.add(Event::DaemonCycles, cycles + compact);
+        for &(event, n) in tallies {
+            c.add(event, n);
+        }
+        if active {
+            self.region_exit();
         }
     }
 
     /// Run a master-only (OpenMP `single`) section on thread 0, then join.
     fn single(&mut self, body: &mut dyn FnMut(&mut dyn MemoryCtx)) {
         self.ensure_granted();
-        let core = self.placement[0];
-        let ctx = SimCtx::new(
-            &mut self.machine,
-            &mut self.aspace,
-            self.profile.thread_mut(0),
-            &mut self.clocks[0],
-            &mut self.walkers[0],
-            core,
-            0,
-        );
-        match &mut self.capture {
-            Some(cap) => {
-                let mut ctx = cap.ctx(ctx, 0);
-                body(&mut ctx);
-            }
-            None => {
-                let mut ctx = ctx;
-                body(&mut ctx);
-            }
-        }
+        self.with_ctx(0, |ctx| body(ctx));
         self.barrier_sync();
     }
 }
@@ -1059,11 +1007,11 @@ impl Team {
     /// ```
     pub fn region<R>(&mut self, name: &str, f: impl FnOnce(&mut Team) -> R) -> R {
         if let Team::Sim(e) = self {
-            e.prof_enter(name);
+            e.region_enter(name);
         }
         let out = f(self);
         if let Team::Sim(e) = self {
-            e.prof_exit();
+            e.region_exit();
         }
         out
     }
@@ -1097,84 +1045,50 @@ impl Team {
     ) -> f64 {
         let threads = self.threads();
         let p = plan(range, threads, schedule);
-        match self {
+        let partials = match self {
             Team::Sim(e) => {
                 let partials = e.run(&p, body, red);
                 e.barrier_sync();
                 partials
-                    .into_iter()
-                    .fold(red.identity(), |a, b| red.combine(a, b))
             }
-            Team::Native { threads } => {
-                let threads = *threads;
-                // The native engine has no simulated clock to order steals
-                // by, so hierarchical plans degrade to true self-scheduling
+            Team::Native { .. } => {
+                // Each OS thread runs its own static chunks, then claims
+                // from the shared queue through one atomic counter. The
+                // native engine has no simulated clock to order steals by,
+                // so hierarchical plans degrade to true self-scheduling
                 // over the same chunks (correctness-identical).
-                let p = match p {
-                    Plan::Hier(per) => Plan::Queue(per.into_iter().flatten().collect()),
-                    other => other,
+                let (lists, queue) = match p {
+                    Plan::Fixed(per) => (per, Vec::new()),
+                    Plan::Queue(q) => (Vec::new(), q),
+                    Plan::Hier(per) => (Vec::new(), per.into_iter().flatten().collect()),
                 };
-                match p {
-                    Plan::Fixed(per) => {
-                        let partials: Vec<f64> = std::thread::scope(|s| {
-                            let handles: Vec<_> = per
-                                .into_iter()
-                                .enumerate()
-                                .map(|(t, chunks)| {
-                                    s.spawn(move || {
-                                        let mut ctx = NullCtx::new(t);
-                                        let mut acc = red.identity();
-                                        for c in chunks {
-                                            acc = red.combine(acc, body(&mut ctx, c));
-                                        }
-                                        acc
-                                    })
+                let next = AtomicUsize::new(0);
+                let (lists, queue, next) = (&lists, &queue, &next);
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|t| {
+                            s.spawn(move || {
+                                let mut ctx = NullCtx::new(t);
+                                let own = lists.get(t).into_iter().flatten().cloned();
+                                let claimed = std::iter::from_fn(|| {
+                                    queue.get(next.fetch_add(1, Ordering::Relaxed)).cloned()
+                                });
+                                own.chain(claimed).fold(red.identity(), |acc, c| {
+                                    red.combine(acc, body(&mut ctx, c))
                                 })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("worker panicked"))
-                                .collect()
-                        });
-                        partials
-                            .into_iter()
-                            .fold(red.identity(), |a, b| red.combine(a, b))
-                    }
-                    Plan::Queue(q) => {
-                        // True self-scheduling with a shared chunk counter.
-                        let next = AtomicUsize::new(0);
-                        let q = &q;
-                        let next_ref = &next;
-                        let partials: Vec<f64> = std::thread::scope(|s| {
-                            let handles: Vec<_> = (0..threads)
-                                .map(|t| {
-                                    s.spawn(move || {
-                                        let mut ctx = NullCtx::new(t);
-                                        let mut acc = red.identity();
-                                        loop {
-                                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                                            if i >= q.len() {
-                                                break;
-                                            }
-                                            acc = red.combine(acc, body(&mut ctx, q[i].clone()));
-                                        }
-                                        acc
-                                    })
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("worker panicked"))
-                                .collect()
-                        });
-                        partials
-                            .into_iter()
-                            .fold(red.identity(), |a, b| red.combine(a, b))
-                    }
-                    Plan::Hier(_) => unreachable!("flattened above"),
-                }
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("worker panicked"))
+                        .collect()
+                })
             }
-        }
+        };
+        partials
+            .into_iter()
+            .fold(red.identity(), |a, b| red.combine(a, b))
     }
 
     /// `#pragma omp parallel sections`: each section runs exactly once,
@@ -1338,17 +1252,46 @@ mod tests {
     }
 
     #[test]
-    fn sim_dynamic_schedule_covers_all_iterations() {
-        let (mut team, data) = sim_team(4);
-        let v: ShVec<u64> = ShVec::new(503, data);
-        team.parallel_for(0..503, Schedule::Dynamic(16), &|ctx, r| {
-            for i in r {
-                let cur = v.get(ctx, i);
-                v.set(ctx, i, cur + 1);
+    fn sim_every_schedule_runs_each_iteration_once() {
+        let schedules = [
+            Schedule::Static,
+            Schedule::StaticChunk(7),
+            Schedule::Dynamic(16),
+            Schedule::Guided(3),
+            Schedule::Hierarchical { chunk: 16 },
+        ];
+        // Empty ranges, ranges shorter than the team, and long ones.
+        let ranges = [0..0, 9..9, 5..7, 3..6, 0..503, 40..301];
+        for threads in 1..=4 {
+            let (mut team, data) = sim_team(threads);
+            let runs: ShVec<u64> = ShVec::new(512, data);
+            let ran_on: ShVec<u64> = ShVec::new(512, data.add(4096));
+            for schedule in schedules {
+                for range in ranges.clone() {
+                    runs.fill_raw(0);
+                    team.parallel_for(range.clone(), schedule, &|ctx, r| {
+                        let me = ctx.thread_id() as u64;
+                        for i in r {
+                            let cur = runs.get(ctx, i);
+                            runs.set(ctx, i, cur + 1);
+                            ran_on.set(ctx, i, me);
+                        }
+                    });
+                    let case = format!("{schedule:?} {range:?} t{threads}");
+                    for i in 0..512 {
+                        let want = u64::from(range.contains(&i));
+                        assert_eq!(runs.get_raw(i), want, "{case}: iteration {i}");
+                    }
+                    // Static chunks run on the thread the plan gave them.
+                    if let Plan::Fixed(per) = plan(range.clone(), threads, schedule) {
+                        for (t, chunks) in per.iter().enumerate() {
+                            for i in chunks.iter().flat_map(Range::clone) {
+                                assert_eq!(ran_on.get_raw(i), t as u64, "{case}: iteration {i}");
+                            }
+                        }
+                    }
+                }
             }
-        });
-        for i in 0..503 {
-            assert_eq!(v.get_raw(i), 1, "iteration {i}");
         }
     }
 

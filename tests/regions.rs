@@ -1,12 +1,16 @@
 //! Properties of the region-attribution profiler at the system level:
 //! conservation of every counter across randomized configurations and
-//! worker counts, and a round-trip of the Chrome trace export through
-//! the in-tree JSON parser.
+//! worker counts, a round-trip of the Chrome trace export through the
+//! in-tree JSON parser, and byte pins on the barrier daemons' traces.
 
-use lpomp::core::{run_system, PagePolicy, ProfileSpec, RunOpts, System};
-use lpomp::machine::opteron_2x2;
+use lpomp::core::store::{fnv1a64, FNV_OFFSET};
+use lpomp::core::{
+    run_system, PagePolicy, PopulatePolicy, ProfileSpec, RunOpts, System, SystemBuilder,
+};
+use lpomp::machine::{opteron_2x2, NumaConfig, NumaPlacement};
 use lpomp::npb::{AppKind, Class};
-use lpomp::prof::{parse_json, Json};
+use lpomp::prof::{parse_json, Event, Json};
+use lpomp::vm::{age_heap, NumaDaemonConfig};
 
 /// SplitMix64 (same idiom as `tests/properties.rs`): reproducible
 /// test-input generation with no external dependencies.
@@ -155,4 +159,80 @@ fn trace_json_round_trips_and_is_well_formed() {
         assert_eq!(d, 0, "tid {tid}: unbalanced B/E");
         assert!(named_threads.contains(&tid), "tid {tid} has no thread_name");
     }
+}
+
+/// Run one class-S kernel once on `b` (with `ProfileSpec::Trace`),
+/// optionally ageing the heap after bring-up, and return its region
+/// sheet and trace JSON.
+fn daemon_trace(app: AppKind, b: SystemBuilder, aged: bool) -> (lpomp::prof::ProfileSheet, String) {
+    let mut kernel = app.build(Class::S);
+    let mut sys = b
+        .profile(ProfileSpec::Trace)
+        .build(kernel.as_mut())
+        .expect("system builds");
+    if aged {
+        let e = sys.team.engine_mut().expect("simulated team");
+        age_heap(&mut e.machine.frames, &mut e.aspace, 1.0).expect("heap ages");
+    }
+    let cs = kernel.run(&mut sys.team);
+    assert!(kernel.verify(cs), "{app}: checksum {cs}");
+    let sheet = sys.team.region_sheet().expect("profiled run has a sheet");
+    assert_eq!(sheet.total(), sys.team.aggregate_counters(), "{app}");
+    (sheet, sys.team.trace_json().expect("traced run has JSON"))
+}
+
+/// Pins the attribution of the barrier daemons' episodes: khugepaged
+/// (with its nested compaction share) on an aged heap, and the NUMA
+/// balancer on a first-touch NUMA Opteron. Each region must carry cycles,
+/// the timeline must carry the shootdown and migration instants, and the
+/// whole trace must keep its exact bytes.
+#[test]
+fn daemon_episodes_keep_their_attribution() {
+    let thp = System::builder(opteron_2x2()).threads(4).thp_daemon(true);
+    let mut numa_machine = opteron_2x2();
+    numa_machine.numa = Some(NumaConfig::opteron(NumaPlacement::FirstTouch));
+    let numa = System::builder(numa_machine)
+        .policy(PagePolicy::Small4K)
+        .threads(4)
+        .populate(PopulatePolicy::OnDemand)
+        .numa_daemon(NumaDaemonConfig::default());
+    let cases = [
+        (
+            AppKind::Cg,
+            thp,
+            true,
+            &["os:khugepaged", "os:compaction"][..],
+        ),
+        (AppKind::Mg, numa, false, &["os:numa"][..]),
+    ];
+    let mut pins = Vec::new();
+    for (app, b, aged, regions) in cases {
+        let (sheet, trace) = daemon_trace(app, b, aged);
+        for &name in regions {
+            let id = sheet
+                .by_name(name)
+                .unwrap_or_else(|| panic!("{name} missing"));
+            assert!(sheet.region_total(id).get(Event::Cycles) > 0, "{name}");
+        }
+        let doc = parse_json(&trace).expect("trace JSON parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let instant = |n: &str| {
+            events.iter().any(|e| {
+                e.get("name").and_then(Json::as_str) == Some(n)
+                    && e.get("ph").and_then(Json::as_str) == Some("i")
+            })
+        };
+        assert!(instant("tlb-shootdown"), "{app}: no shootdown instant");
+        if app == AppKind::Mg {
+            assert!(instant("numa-migration"), "no migration instant");
+        }
+        pins.push((trace.len(), fnv1a64(FNV_OFFSET, trace.as_bytes())));
+    }
+    assert_eq!(
+        pins,
+        [
+            (49_566, 0xa955_09e8_f911_bdde),
+            (40_082, 0xa2b1_c7c0_7748_725c)
+        ]
+    );
 }
