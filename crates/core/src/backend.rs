@@ -191,15 +191,19 @@ pub fn cached_profile(app: AppKind, class: Class, threads: usize) -> Arc<StreamP
     profiles().get_or_capture(app, class, threads, || capture_profile(app, class, threads))
 }
 
-/// One capture run: simulate the kernel once with recording hooks
-/// enabled and distill the reference stream into a [`StreamProfile`].
+/// One capture run: execute the kernel once on a recording team and
+/// distill each logical thread's reference stream into a
+/// [`StreamProfile`].
 ///
-/// The capture machine is the canonical Opteron preset under 4 KB pages
-/// (the Xeon when the thread count needs its SMT contexts) — an
-/// arbitrary choice, because the recorded stream (virtual addresses,
-/// access modes, region labels, barrier structure) is identical on every
-/// preset; only the *charges* differ, and those are what
-/// [`evaluate`] recomputes per point.
+/// The system is built as for a cycle run, on the canonical Opteron
+/// preset under 4 KB pages (the Xeon when the thread count needs its SMT
+/// contexts), for its virtual layout, code walkers and quantum. The
+/// machine is then dropped, and each logical thread runs its static
+/// chunks on a host thread of its own with no TLB, cache or clock work
+/// ([`Team::into_recording`]). The preset is an arbitrary choice, because
+/// the recorded stream (virtual addresses, access modes, region labels,
+/// barrier structure) is identical on every preset; only the *charges*
+/// differ, and those are what [`evaluate`] recomputes per point.
 pub fn capture_profile(app: AppKind, class: Class, threads: usize) -> StreamProfile {
     let opteron = lpomp_machine::opteron_2x2();
     let machine = if threads <= opteron.contexts() {
@@ -211,20 +215,14 @@ pub fn capture_profile(app: AppKind, class: Class, threads: usize) -> StreamProf
         .policy(PagePolicy::Small4K)
         .threads(threads);
     let mut kernel = app.build(class);
-    let mut sys = builder
+    let sys = builder
         .build(kernel.as_mut())
         .unwrap_or_else(|e| panic!("{app} {class} capture build failed: {e}"));
-    sys.team
-        .engine_mut()
-        .expect("capture requires a simulated team")
-        .enable_capture();
-    let checksum = kernel.run(&mut sys.team);
-    let capture = sys
-        .team
-        .engine_mut()
-        .unwrap()
-        .take_capture()
-        .expect("capture was enabled");
+    let mut team = sys.team.into_recording();
+    let checksum = kernel.run(&mut team);
+    let Team::Capture(capture) = team else {
+        unreachable!("a recording team stays one");
+    };
     capture.finish(&app.to_string(), &class.to_string(), checksum)
 }
 
@@ -349,7 +347,8 @@ mod tests {
         assert_eq!(fast.threads, exact.threads);
         assert_eq!(fast.verified, Some(true));
         assert!(fast.seconds > 0.0 && fast.cycles > 0);
-        // Capture ran on the same engine, so the checksums agree exactly.
+        // The capture folds every reduction as the cycle engine does, so
+        // the checksums agree exactly.
         assert_eq!(fast.checksum, exact.checksum);
     }
 

@@ -1,50 +1,79 @@
-//! Reference-stream capture for the analytic backend.
+//! Stream-only reference capture for the analytic backend.
 //!
-//! [`CaptureCtx`] wraps a [`SimCtx`] and forwards every [`MemoryCtx`]
-//! call unchanged — charges, counters and clocks are bit-identical to an
-//! uncaptured run — while recording each access into a per-thread
-//! [`ThreadRecorder`]. The instruction-fetch stream is regenerated by a
-//! *mirror* [`CodeWalker`] (a clone of the engine's, advanced by the same
-//! `compute` calls), so the engine's own walker is never perturbed.
+//! A capture runs the kernel on a recording team (`Team::Capture` in
+//! `lpomp-runtime`) instead of the cycle engine. Each logical thread runs
+//! its static chunks on a host thread of its own through a [`CaptureCtx`],
+//! which records every access into the thread's own [`ThreadRecorder`]
+//! and advances the thread's own [`CodeWalker`] to regenerate the
+//! instruction-fetch stream the simulating context would issue. No
+//! machine, TLB, cache or clock runs underneath: under static schedules a
+//! thread's access sequence is a property of the program, not of the
+//! machine it is timed on. Every data access is still checked against
+//! the address space's mappings and protections, and a bad one panics
+//! naming the thread and the address, as [`crate::SimCtx`] does.
 //!
-//! The engine owns one [`CaptureState`] per capture run and notifies it
-//! of region and barrier boundaries; `finish` folds everything into a
-//! [`StreamProfile`].
+//! The team owns one [`CaptureState`] per capture run and notifies it of
+//! region and barrier boundaries between loops; `finish` folds everything
+//! into a [`StreamProfile`].
 
-use crate::ctx::{CodeWalker, MemoryCtx, SimCtx};
+use crate::ctx::{CodeWalker, MemoryCtx};
 use lpomp_prof::reuse::{
     PhaseAggregator, StreamProfile, ThreadRecorder, MODE_LATENCY, MODE_PIPELINED, MODE_STREAM,
 };
-use lpomp_vm::VirtAddr;
+use lpomp_vm::{AccessKind, AddressSpace, VirtAddr, VmError};
 
-/// Capture-run state held by the engine: one recorder and one mirror
-/// code walker per logical thread, plus the phase aggregator.
+/// Capture-run state held by a recording team: the process's address
+/// space (its mappings, for the access checks), one recorder and one code
+/// walker per logical thread, the engine's quantum and the phase
+/// aggregator.
 pub struct CaptureState {
+    aspace: AddressSpace,
     recorders: Vec<ThreadRecorder>,
     walkers: Vec<CodeWalker>,
+    quantum: usize,
     agg: PhaseAggregator,
 }
 
 impl CaptureState {
-    /// New capture over `walkers.len()` threads; `walkers` are clones of
-    /// the engine's per-thread code walkers at capture start.
-    pub fn new(walkers: Vec<CodeWalker>) -> Self {
+    /// New capture over `walkers.len()` threads: `walkers` are the
+    /// engine's per-thread code walkers and `quantum` its iterations per
+    /// body call, so fetches and reductions come out as in a cycle run.
+    pub fn new(aspace: AddressSpace, walkers: Vec<CodeWalker>, quantum: usize) -> Self {
         let recorders = walkers.iter().map(|_| ThreadRecorder::new()).collect();
         CaptureState {
+            aspace,
             recorders,
             walkers,
+            quantum: quantum.max(1),
             agg: PhaseAggregator::new(),
         }
     }
 
-    /// Wrap a quantum's context for thread `t`.
-    pub fn ctx<'a, 'b>(&'b mut self, inner: SimCtx<'a>, t: usize) -> CaptureCtx<'a, 'b> {
-        CaptureCtx {
-            inner,
-            rec: &mut self.recorders[t],
-            walker: &mut self.walkers[t],
-            buf: Vec::with_capacity(8),
-        }
+    /// Number of logical threads.
+    pub fn threads(&self) -> usize {
+        self.recorders.len()
+    }
+
+    /// Iterations per body call.
+    pub fn quantum(&self) -> usize {
+        self.quantum
+    }
+
+    /// One recording context per logical thread, in thread order.
+    pub fn ctxs(&mut self) -> Vec<CaptureCtx<'_>> {
+        let aspace = &self.aspace;
+        self.recorders
+            .iter_mut()
+            .zip(&mut self.walkers)
+            .enumerate()
+            .map(|(thread, (rec, walker))| CaptureCtx {
+                aspace,
+                rec,
+                walker,
+                thread,
+                buf: Vec::with_capacity(8),
+            })
+            .collect()
     }
 
     /// A barrier synchronization closed the open episode.
@@ -68,90 +97,73 @@ impl CaptureState {
     }
 }
 
-/// A [`MemoryCtx`] that forwards to a [`SimCtx`] and records the stream.
-pub struct CaptureCtx<'a, 'b> {
-    inner: SimCtx<'a>,
-    rec: &'b mut ThreadRecorder,
-    walker: &'b mut CodeWalker,
+/// A [`MemoryCtx`] that checks each access against the mappings and
+/// records the stream of one logical thread.
+pub struct CaptureCtx<'a> {
+    aspace: &'a AddressSpace,
+    rec: &'a mut ThreadRecorder,
+    walker: &'a mut CodeWalker,
+    thread: usize,
     buf: Vec<VirtAddr>,
 }
 
-impl MemoryCtx for CaptureCtx<'_, '_> {
+impl CaptureCtx<'_> {
+    #[inline]
+    fn data(&mut self, va: VirtAddr, kind: AccessKind, mode: usize) {
+        let e = match self.aspace.find_vma(va) {
+            Some(v) if v.flags.permits(kind) => None,
+            Some(_) => Some(VmError::ProtectionViolation(va)),
+            None => Some(VmError::NotMapped(va)),
+        };
+        if let Some(e) = e {
+            panic!("thread {} at {va}: {e}", self.thread);
+        }
+        self.rec.data(va.0, kind == AccessKind::Write, mode);
+    }
+}
+
+impl MemoryCtx for CaptureCtx<'_> {
     fn thread_id(&self) -> usize {
-        self.inner.thread_id()
+        self.thread
     }
 
     #[inline]
     fn read(&mut self, va: VirtAddr) {
-        self.rec.data(va.0, false, MODE_LATENCY);
-        self.inner.read(va);
+        self.data(va, AccessKind::Read, MODE_LATENCY);
     }
 
     #[inline]
     fn write(&mut self, va: VirtAddr) {
-        self.rec.data(va.0, true, MODE_LATENCY);
-        self.inner.write(va);
+        self.data(va, AccessKind::Write, MODE_LATENCY);
     }
 
     #[inline]
     fn read_streamed(&mut self, va: VirtAddr) {
-        self.rec.data(va.0, false, MODE_STREAM);
-        self.inner.read_streamed(va);
+        self.data(va, AccessKind::Read, MODE_STREAM);
     }
 
     #[inline]
     fn write_streamed(&mut self, va: VirtAddr) {
-        self.rec.data(va.0, true, MODE_STREAM);
-        self.inner.write_streamed(va);
+        self.data(va, AccessKind::Write, MODE_STREAM);
     }
 
     #[inline]
     fn read_pipelined(&mut self, va: VirtAddr) {
-        self.rec.data(va.0, false, MODE_PIPELINED);
-        self.inner.read_pipelined(va);
+        self.data(va, AccessKind::Read, MODE_PIPELINED);
     }
 
     #[inline]
     fn write_pipelined(&mut self, va: VirtAddr) {
-        self.rec.data(va.0, true, MODE_PIPELINED);
-        self.inner.write_pipelined(va);
+        self.data(va, AccessKind::Write, MODE_PIPELINED);
     }
 
     fn compute(&mut self, instructions: u64) {
         self.rec.compute(instructions);
-        // The mirror walker reproduces the exact fetch addresses the
-        // inner context is about to generate from its own walker.
-        let mut buf = std::mem::take(&mut self.buf);
-        self.walker.fetch_addrs(instructions, &mut buf);
-        for &va in &buf {
+        // The same walker state and calls the simulating context would
+        // use, so these are the fetch addresses it would charge.
+        self.walker.fetch_addrs(instructions, &mut self.buf);
+        for &va in &self.buf {
             self.rec.ifetch(va.0);
         }
-        self.buf = buf;
-        self.inner.compute(instructions);
-    }
-
-    fn now_cycles(&self) -> u64 {
-        self.inner.now_cycles()
-    }
-
-    // Batched stream helpers: record per line (the granularity the
-    // default trait loop and `Machine::data_access_run` both charge at),
-    // then forward the whole run so the inner charges stay batched.
-    fn stream_read(&mut self, va: VirtAddr, len: u64) {
-        let mut off = 0;
-        while off < len {
-            self.rec.data(va.0 + off, false, MODE_STREAM);
-            off += crate::cache::LINE_BYTES;
-        }
-        self.inner.stream_read(va, len);
-    }
-
-    fn stream_write(&mut self, va: VirtAddr, len: u64) {
-        let mut off = 0;
-        while off < len {
-            self.rec.data(va.0 + off, true, MODE_STREAM);
-            off += crate::cache::LINE_BYTES;
-        }
-        self.inner.stream_write(va, len);
     }
 }

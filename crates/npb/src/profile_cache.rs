@@ -1,7 +1,7 @@
 //! Cache of captured reference-stream profiles, keyed by
 //! `(application, class, thread count)`.
 //!
-//! The analytic backend needs one cycle-exact capture run per key; every
+//! The analytic backend needs one capture run per key; every
 //! (machine × page policy × placement) evaluation after that is a pure
 //! function of the cached [`StreamProfile`]. The cache is in-memory and
 //! process-wide by default; set `LPOMP_PROFILE_DIR` to also persist

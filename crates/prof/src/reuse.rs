@@ -1,14 +1,17 @@
 //! Reuse-distance capture and the compact stream profile the analytic
 //! backend evaluates.
 //!
-//! A one-time cycle-exact run records, per logical thread, the LRU stack
-//! distance of every data access at 64 B cache-line granularity and at
-//! every page granularity in [`PAGE_SHIFTS`] — the union of all supported
-//! translation architectures' ladders — plus the instruction-fetch page
-//! stream. Distances are binned into sparse sub-logarithmic histograms
-//! and aggregated per *phase* (the innermost `cg:matvec`-style region
-//! annotation), so iterative kernels collapse thousands of barrier
-//! episodes into a few dozen phases. The result, [`StreamProfile`], is a
+//! A one-time capture run (the kernel on a recording team: each logical
+//! thread on a host thread of its own, no cycle engine underneath)
+//! records, per logical thread, the LRU stack distance of every data
+//! access at 64 B cache-line granularity and at every page granularity in
+//! [`PAGE_SHIFTS`] — the union of all supported translation
+//! architectures' ladders — plus the instruction-fetch page stream. A
+//! [`ThreadRecorder`] shares no state with another thread's. Distances
+//! are binned into sparse sub-logarithmic histograms and aggregated per
+//! *phase* (the innermost `cg:matvec`-style region annotation), so
+//! iterative kernels collapse thousands of barrier episodes into a few
+//! dozen phases. The result, [`StreamProfile`], is a
 //! few-MB machine-independent summary: because the runtime schedules
 //! loops statically, each thread's access *sequence* is a property of the
 //! program, not of the machine preset it was captured on — which is what

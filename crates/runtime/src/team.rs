@@ -4,7 +4,10 @@
 //! via `std::thread::scope`, no instrumentation — used for correctness
 //! tests, examples and wall-clock benchmarks) or **simulated** (logical threads
 //! interleaved over the `lpomp-machine` timing model — used to reproduce
-//! the paper's figures).
+//! the paper's figures). A third, **recording** team runs the native
+//! engine's threads over a capture's contexts (see
+//! [`lpomp_machine::capture`]): the reference streams the analytic backend
+//! evaluates, with no timing model underneath.
 //!
 //! The simulated engine is event-driven: at every step the logical thread
 //! with the *lowest cycle clock* runs its next quantum, so threads
@@ -176,7 +179,6 @@ pub struct SimEngine {
     daemon: Option<Khugepaged>,
     numa_daemon: Option<NumaDaemon>,
     profiler: Option<Box<RegionProfiler>>,
-    capture: Option<Box<CaptureState>>,
     slice: Option<SliceLink>,
     sched_override: Option<Schedule>,
     steal: StealPolicy,
@@ -213,7 +215,6 @@ impl SimEngine {
             daemon: None,
             numa_daemon: None,
             profiler: None,
-            capture: None,
             slice: None,
             sched_override: None,
             steal: StealPolicy::default(),
@@ -366,21 +367,6 @@ impl SimEngine {
         self.yield_machine(true);
     }
 
-    /// Start recording the reference stream (see
-    /// [`lpomp_machine::capture`]). Capture observes the run without
-    /// perturbing it — every charge is forwarded unchanged, and the
-    /// fetch stream is regenerated by mirror walkers — so captured and
-    /// uncaptured runs are cycle-identical.
-    pub fn enable_capture(&mut self) {
-        self.capture = Some(Box::new(CaptureState::new(self.walkers.clone())));
-    }
-
-    /// Detach the capture state (after the kernel ran) for
-    /// [`CaptureState::finish`].
-    pub fn take_capture(&mut self) -> Option<Box<CaptureState>> {
-        self.capture.take()
-    }
-
     /// Attach the region-attribution profiler (and, for
     /// [`ProfileSpec::Trace`], the timeline recorder). Profiling observes
     /// the run without perturbing it: no clock or counter changes, so
@@ -401,18 +387,12 @@ impl SimEngine {
         if let Some(p) = &mut self.profiler {
             p.enter(name, &self.profile, &self.clocks);
         }
-        if let Some(c) = &mut self.capture {
-            c.region_enter(name);
-        }
     }
 
     /// Exit the innermost profiling region (no-op without a profiler).
     pub fn region_exit(&mut self) {
         if let Some(p) = &mut self.profiler {
             p.exit(&self.profile, &self.clocks);
-        }
-        if let Some(c) = &mut self.capture {
-            c.region_exit();
         }
     }
 
@@ -759,10 +739,9 @@ impl SimEngine {
         }
     }
 
-    /// Run `f` in logical thread `t`'s memory context, wrapped in the
-    /// capture's context when a capture is attached.
+    /// Run `f` in logical thread `t`'s memory context.
     fn with_ctx<R>(&mut self, t: usize, f: impl FnOnce(&mut dyn MemoryCtx) -> R) -> R {
-        let mut ctx = SimCtx::new(
+        f(&mut SimCtx::new(
             &mut self.machine,
             &mut self.aspace,
             self.profile.thread_mut(t),
@@ -770,20 +749,13 @@ impl SimEngine {
             &mut self.walkers[t],
             self.placement[t],
             t,
-        );
-        match &mut self.capture {
-            Some(cap) => f(&mut cap.ctx(ctx, t)),
-            None => f(&mut ctx),
-        }
+        ))
     }
 
     /// Join all threads at a barrier: everyone advances to the maximum
     /// clock plus the modelled barrier cost.
     fn barrier_sync(&mut self) {
         self.ensure_granted();
-        if let Some(c) = &mut self.capture {
-            c.barrier();
-        }
         self.region_enter("rt:barrier");
         let max = self.elapsed_cycles();
         let cost = self.machine.cost().barrier_cycles(self.threads);
@@ -935,7 +907,56 @@ impl SimEngine {
     }
 }
 
-/// A fork-join thread team bound to one of the two engines.
+/// Run one loop on one OS thread per context: thread `t` takes
+/// `ctxs[t]`, runs its own static chunks from `lists`, then claims chunks
+/// from the shared `queue` through one atomic counter. Each chunk goes to
+/// `body` `quantum` iterations at a time (an empty chunk once), and the
+/// values fold into the thread's partial in execution order, as the
+/// simulated engine folds them. Returns the per-thread partials.
+fn fork_join<C: MemoryCtx + Send>(
+    ctxs: Vec<C>,
+    lists: &[Vec<Range<usize>>],
+    queue: &[Range<usize>],
+    quantum: usize,
+    body: ReduceBody<'_>,
+    red: Reduction,
+) -> Vec<f64> {
+    let next = AtomicUsize::new(0);
+    let next = &next;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = ctxs
+            .into_iter()
+            .enumerate()
+            .map(|(t, mut ctx)| {
+                s.spawn(move || {
+                    let own = lists.get(t).into_iter().flatten().cloned();
+                    let claimed = std::iter::from_fn(|| {
+                        queue.get(next.fetch_add(1, Ordering::Relaxed)).cloned()
+                    });
+                    own.chain(claimed).fold(red.identity(), |mut acc, c| {
+                        let mut start = c.start;
+                        loop {
+                            let end = c.end.min(start.saturating_add(quantum));
+                            acc = red.combine(acc, body(&mut ctx, start..end));
+                            start = end;
+                            if start >= c.end {
+                                return acc;
+                            }
+                        }
+                    })
+                })
+            })
+            .collect();
+        // A worker's panic resurfaces with its own message (a capture's
+        // bad access names the thread and the address).
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// A fork-join thread team bound to one of the engines.
 pub enum Team {
     /// Real OS threads, no instrumentation.
     Native {
@@ -944,6 +965,9 @@ pub enum Team {
     },
     /// Logical threads over the machine model.
     Sim(Box<SimEngine>),
+    /// Logical threads recording their reference streams, one OS thread
+    /// each, with no machine underneath (see [`Team::into_recording`]).
+    Capture(Box<CaptureState>),
 }
 
 impl Team {
@@ -958,11 +982,33 @@ impl Team {
         Team::Sim(Box::new(engine))
     }
 
+    /// Turn a simulated team, before it runs, into a recording team over
+    /// the same address space, code walkers and quantum; the machine and
+    /// everything else the engine held are dropped. The recording team
+    /// runs static loops only: each logical thread's chunks are then
+    /// fixed by the plan, so its stream does not depend on the machine.
+    ///
+    /// # Panics
+    /// On a team that is not simulated.
+    pub fn into_recording(self) -> Self {
+        let Team::Sim(engine) = self else {
+            panic!("a recording team starts from a simulated team");
+        };
+        let SimEngine {
+            aspace,
+            walkers,
+            quantum,
+            ..
+        } = *engine;
+        Team::Capture(Box::new(CaptureState::new(aspace, walkers, quantum)))
+    }
+
     /// Team size.
     pub fn threads(&self) -> usize {
         match self {
             Team::Native { threads } => *threads,
             Team::Sim(e) => e.threads,
+            Team::Capture(c) => c.threads(),
         }
     }
 
@@ -974,7 +1020,7 @@ impl Team {
     pub fn schedule_or(&self, default: Schedule) -> Schedule {
         match self {
             Team::Sim(e) => e.sched_override.unwrap_or(default),
-            Team::Native { .. } => default,
+            _ => default,
         }
     }
 
@@ -982,7 +1028,7 @@ impl Team {
     pub fn engine(&self) -> Option<&SimEngine> {
         match self {
             Team::Sim(e) => Some(e),
-            Team::Native { .. } => None,
+            _ => None,
         }
     }
 
@@ -990,7 +1036,7 @@ impl Team {
     pub fn engine_mut(&mut self) -> Option<&mut SimEngine> {
         match self {
             Team::Sim(e) => Some(e),
-            Team::Native { .. } => None,
+            _ => None,
         }
     }
 
@@ -1006,12 +1052,16 @@ impl Team {
     /// team.region("cg:matvec", |team| Self::matvec(team, d, 2));
     /// ```
     pub fn region<R>(&mut self, name: &str, f: impl FnOnce(&mut Team) -> R) -> R {
-        if let Team::Sim(e) = self {
-            e.region_enter(name);
+        match self {
+            Team::Sim(e) => e.region_enter(name),
+            Team::Capture(c) => c.region_enter(name),
+            Team::Native { .. } => {}
         }
         let out = f(self);
-        if let Team::Sim(e) = self {
-            e.region_exit();
+        match self {
+            Team::Sim(e) => e.region_exit(),
+            Team::Capture(c) => c.region_exit(),
+            Team::Native { .. } => {}
         }
         out
     }
@@ -1051,39 +1101,31 @@ impl Team {
                 e.barrier_sync();
                 partials
             }
+            Team::Capture(c) => {
+                let Plan::Fixed(lists) = p else {
+                    panic!(
+                        "a capture records static schedules only: {schedule:?} binds \
+                         iterations to threads at run time, so the streams would depend \
+                         on the machine"
+                    );
+                };
+                let quantum = c.quantum();
+                let partials = fork_join(c.ctxs(), &lists, &[], quantum, body, red);
+                c.barrier();
+                partials
+            }
             Team::Native { .. } => {
-                // Each OS thread runs its own static chunks, then claims
-                // from the shared queue through one atomic counter. The
-                // native engine has no simulated clock to order steals by,
-                // so hierarchical plans degrade to true self-scheduling
-                // over the same chunks (correctness-identical).
+                // The native engine has no simulated clock to order steals
+                // by, so hierarchical plans degrade to true self-scheduling
+                // over the same chunks (correctness-identical). Each chunk
+                // is one body call.
                 let (lists, queue) = match p {
                     Plan::Fixed(per) => (per, Vec::new()),
                     Plan::Queue(q) => (Vec::new(), q),
                     Plan::Hier(per) => (Vec::new(), per.into_iter().flatten().collect()),
                 };
-                let next = AtomicUsize::new(0);
-                let (lists, queue, next) = (&lists, &queue, &next);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            s.spawn(move || {
-                                let mut ctx = NullCtx::new(t);
-                                let own = lists.get(t).into_iter().flatten().cloned();
-                                let claimed = std::iter::from_fn(|| {
-                                    queue.get(next.fetch_add(1, Ordering::Relaxed)).cloned()
-                                });
-                                own.chain(claimed).fold(red.identity(), |acc, c| {
-                                    red.combine(acc, body(&mut ctx, c))
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect()
-                })
+                let ctxs = (0..threads).map(NullCtx::new).collect();
+                fork_join(ctxs, &lists, &queue, usize::MAX, body, red)
             }
         };
         partials
@@ -1107,6 +1149,10 @@ impl Team {
     pub fn single(&mut self, body: &mut dyn FnMut(&mut dyn MemoryCtx)) {
         match self {
             Team::Sim(e) => e.single(body),
+            Team::Capture(c) => {
+                body(&mut c.ctxs()[0]);
+                c.barrier();
+            }
             Team::Native { .. } => {
                 let mut ctx = NullCtx::new(0);
                 body(&mut ctx);
@@ -1117,25 +1163,22 @@ impl Team {
     /// Explicit barrier (`#pragma omp barrier`). Native teams synchronize
     /// implicitly at loop ends, so this is a no-op there.
     pub fn barrier(&mut self) {
-        if let Team::Sim(e) = self {
-            e.barrier_sync();
+        match self {
+            Team::Sim(e) => e.barrier_sync(),
+            Team::Capture(c) => c.barrier(),
+            Team::Native { .. } => {}
         }
     }
 
-    /// Critical-path cycles (simulated teams; 0 for native).
+    /// Critical-path cycles (simulated teams; 0 otherwise).
     pub fn elapsed_cycles(&self) -> u64 {
-        match self {
-            Team::Sim(e) => e.elapsed_cycles(),
-            Team::Native { .. } => 0,
-        }
+        self.engine().map_or(0, SimEngine::elapsed_cycles)
     }
 
     /// Critical-path seconds at the machine's clock (simulated teams).
     pub fn elapsed_seconds(&self) -> f64 {
-        match self {
-            Team::Sim(e) => e.machine.cost().seconds(e.elapsed_cycles()),
-            Team::Native { .. } => 0.0,
-        }
+        self.engine()
+            .map_or(0.0, |e| e.machine.cost().seconds(e.elapsed_cycles()))
     }
 
     /// The run profile (simulated teams).
@@ -1185,6 +1228,65 @@ mod tests {
         let walker = CodeWalker::new(code, 1 << 20, 64 << 10, 1000);
         let engine = SimEngine::new(machine, aspace, threads, walker, DEFAULT_QUANTUM);
         (Team::simulated(engine), data)
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a panic");
+        *err.downcast::<String>().expect("a formatted panic message")
+    }
+
+    #[test]
+    fn capture_rejects_schedules_bound_at_run_time() {
+        for schedule in [
+            Schedule::Dynamic(16),
+            Schedule::Guided(4),
+            Schedule::Hierarchical { chunk: 16 },
+        ] {
+            let mut team = sim_team(2).0.into_recording();
+            let msg = panic_message(|| team.parallel_for(0..100, schedule, &|_, _| {}));
+            assert!(
+                msg.contains("a capture records static schedules only"),
+                "{schedule:?}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn capture_access_outside_every_mapping_names_thread_and_address() {
+        let mut team = sim_team(2).0.into_recording();
+        let stray = VirtAddr(0x1000); // below the code mapping
+        let msg = panic_message(|| {
+            team.parallel_for(0..64, Schedule::Static, &|ctx, r| {
+                if r.contains(&40) {
+                    ctx.read(stray);
+                }
+            })
+        });
+        assert_eq!(
+            msg,
+            format!("thread 1 at {stray}: address {stray} not mapped")
+        );
+    }
+
+    #[test]
+    fn capture_store_into_code_names_thread_and_address() {
+        let mut team = sim_team(2).0.into_recording();
+        let code = VirtAddr(0x40_0040);
+        // Loads from the code mapping are fine; the store is not.
+        team.parallel_for(0..64, Schedule::Static, &|ctx, _| ctx.read(code));
+        let msg = panic_message(|| {
+            team.parallel_for(0..64, Schedule::Static, &|ctx, r| {
+                if r.contains(&40) {
+                    ctx.write_streamed(code);
+                }
+            })
+        });
+        assert_eq!(
+            msg,
+            format!("thread 1 at {code}: protection violation at {code}")
+        );
     }
 
     #[test]

@@ -88,6 +88,16 @@ impl PteFlags {
             dirty: false,
         }
     }
+
+    /// Does this protection allow an access of `kind`?
+    pub fn permits(self, kind: AccessKind) -> bool {
+        self.present
+            && match kind {
+                AccessKind::Read => true,
+                AccessKind::Write => self.writable,
+                AccessKind::Fetch => self.executable,
+            }
+    }
 }
 
 /// One entry of a table node.
@@ -461,12 +471,7 @@ impl PageTable {
             match &mut node.entries[idx] {
                 Entry::None => return Err(VmError::NotMapped(va)),
                 Entry::Leaf { pa, flags, size } => {
-                    let ok = match kind {
-                        AccessKind::Read => flags.present,
-                        AccessKind::Write => flags.present && flags.writable,
-                        AccessKind::Fetch => flags.present && flags.executable,
-                    };
-                    if !ok {
+                    if !flags.permits(kind) {
                         return Err(VmError::ProtectionViolation(va));
                     }
                     flags.accessed = true;

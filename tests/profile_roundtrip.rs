@@ -2,13 +2,16 @@
 //! JSON serialization losslessly — not just structurally, but in the
 //! strong sense the disk cache relies on: the *analytic predictions*
 //! computed from the reloaded profile are byte-identical to those from
-//! the original, for every machine preset and page policy.
+//! the original, for every machine preset and page policy. The capture
+//! itself is pinned byte for byte and checked against the cycle run it
+//! stands in for.
 
-use lpomp::core::capture_profile;
 use lpomp::core::store::{fnv1a64, FNV_OFFSET};
+use lpomp::core::{capture_profile, PagePolicy, SystemBuilder};
 use lpomp::machine::{evaluate, opteron_2x2, xeon_2x2_ht, AnalyticPoint};
 use lpomp::npb::{AppKind, Class, ProfileCache};
-use lpomp::prof::reuse::StreamProfile;
+use lpomp::prof::reuse::{PhaseThread, StreamProfile};
+use lpomp::prof::Event;
 use lpomp::vm::PageSize;
 
 /// Every (preset × page size × fault mode) evaluation point.
@@ -54,16 +57,25 @@ fn reloaded_profile_predicts_byte_identically() {
 }
 
 /// The class-S profiles the capture produces, pinned by JSON length and
-/// FNV-1a 64, so a faster capture must keep every byte. CG at 8 threads
-/// captures on the Xeon preset (more threads than the Opteron has
-/// contexts). These constants change only together with
+/// FNV-1a 64, so a faster capture must keep every byte: every kernel at
+/// 4 threads, plus IS (the one kernel that branches on `thread_id` and
+/// runs a `single`) at 2 and 8. At 8 threads the capture runs on the
+/// Xeon preset (more threads than the Opteron has contexts). These
+/// constants change only together with
 /// [`ENGINE_VERSION`](lpomp::prof::ENGINE_VERSION).
 #[test]
 fn captured_profiles_are_pinned_byte_for_byte() {
     let pins = [
-        (AppKind::Cg, 4, 37_369, 0x19ae_8449_208f_6a8d_u64),
-        (AppKind::Mg, 4, 35_364, 0x79a1_1501_3cd9_bb08),
+        (AppKind::Bt, 4, 9_846, 0xf22e_4688_4c03_ebdd_u64),
+        (AppKind::Cg, 4, 37_369, 0x19ae_8449_208f_6a8d),
+        (AppKind::Ft, 4, 8_434, 0xc6c1_c567_2781_3203),
         (AppKind::Sp, 4, 28_155, 0x0e75_bbac_af56_8963),
+        (AppKind::Mg, 4, 35_364, 0x79a1_1501_3cd9_bb08),
+        (AppKind::Ep, 4, 2_937, 0x6ea5_8ab5_5a1f_6b40),
+        (AppKind::Is, 4, 8_269, 0x22b9_e357_b43c_6870),
+        (AppKind::Lu, 4, 10_509, 0x1d76_3048_991e_9f2b),
+        (AppKind::Is, 2, 4_476, 0x668e_0c24_759e_8ea1),
+        (AppKind::Is, 8, 15_064, 0x9288_8827_9bb5_f0f3),
         (AppKind::Cg, 8, 70_786, 0xca63_6d11_b0c4_5f83),
     ];
     let mut drift = Vec::new();
@@ -82,6 +94,70 @@ fn captured_profiles_are_pinned_byte_for_byte() {
         "captured profiles drifted:\n{}",
         drift.join("\n")
     );
+}
+
+/// Per-thread totals a profile recorded, summed over its phases.
+fn recorded(p: &StreamProfile, t: usize) -> [u64; 4] {
+    let sum = |f: fn(&PhaseThread) -> u64| p.phases.iter().map(|ph| f(&ph.threads[t])).sum();
+    [
+        sum(|x| x.loads),
+        sum(|x| x.stores),
+        sum(|x| x.instructions),
+        sum(|x| x.ifetches),
+    ]
+}
+
+/// A capture records exactly what the cycle engine executes: for every
+/// kernel at class S, on the preset each thread count captures on, the
+/// profile's checksum is the simulated run's bit for bit, and each
+/// thread's loads, stores, instructions and instruction fetches summed
+/// over phases equal that thread's counters in the simulated run.
+#[test]
+fn capture_agrees_with_the_cycle_run() {
+    let cases = [
+        (opteron_2x2(), 1),
+        (opteron_2x2(), 2),
+        (opteron_2x2(), 4),
+        (xeon_2x2_ht(), 8),
+    ];
+    let mut bad = Vec::new();
+    for app in AppKind::ALL {
+        for (machine, threads) in &cases {
+            let profile = capture_profile(app, Class::S, *threads);
+            let mut kernel = app.build(Class::S);
+            let mut sys = SystemBuilder::new(machine.clone())
+                .policy(PagePolicy::Small4K)
+                .threads(*threads)
+                .build(kernel.as_mut())
+                .expect("class-S system builds");
+            let checksum = kernel.run(&mut sys.team);
+            let case = format!("{app} S@{threads} on {}", machine.name);
+            if profile.checksum.to_bits() != checksum.to_bits() {
+                bad.push(format!(
+                    "{case}: checksum {} captured, {checksum} simulated",
+                    profile.checksum
+                ));
+            }
+            let sim = sys.team.profile().expect("a simulated team");
+            for t in 0..*threads {
+                let want = [
+                    Event::Loads,
+                    Event::Stores,
+                    Event::Instructions,
+                    Event::IFetches,
+                ]
+                .map(|e| sim.thread(t).get(e));
+                let got = recorded(&profile, t);
+                if got != want {
+                    bad.push(format!(
+                        "{case} thread {t}: [loads, stores, instructions, ifetches] \
+                         {got:?} captured, {want:?} simulated"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(bad.is_empty(), "capture disagrees:\n{}", bad.join("\n"));
 }
 
 #[test]
