@@ -47,6 +47,7 @@ fn main() {
         };
         (run(PopulatePolicy::Prefault), run(PopulatePolicy::OnDemand))
     });
+    let fault_cost = opteron_2x2().cost.page_fault;
     for (&(app, policy), (pre, lazy)) in grid.iter().zip(&pairs) {
         for (label, r) in [("prefault", pre), ("on-demand", lazy)] {
             t.row(vec![
@@ -57,7 +58,7 @@ fn main() {
                 r.counters.get(Event::PageFaults).to_string(),
                 r.counters
                     .get(Event::PageFaults)
-                    .saturating_mul(2500)
+                    .saturating_mul(fault_cost)
                     .to_string(),
                 format!("{}%", fnum((r.seconds / pre.seconds - 1.0) * 100.0, 2)),
             ]);

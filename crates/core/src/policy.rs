@@ -61,13 +61,6 @@ impl PagePolicy {
             .size
     }
 
-    /// Page size of the primary heap region, read against the
-    /// x86-64-2007 ladder (the pre-ladder API; prefer
-    /// [`Self::heap_page_size_on`]).
-    pub fn heap_page_size(self) -> PageSize {
-        self.heap_page_size_on(Arch::X86_64_2007)
-    }
-
     /// Whether a hugetlbfs pool must be reserved.
     pub fn needs_huge_pool(self) -> bool {
         self.rank() > 0
@@ -120,13 +113,20 @@ mod tests {
 
     #[test]
     fn heap_page_sizes() {
-        assert_eq!(PagePolicy::Small4K.heap_page_size(), PageSize::Small4K);
-        assert_eq!(PagePolicy::Large2M.heap_page_size(), PageSize::Large2M);
+        let x86 = Arch::X86_64_2007;
+        assert_eq!(
+            PagePolicy::Small4K.heap_page_size_on(x86),
+            PageSize::Small4K
+        );
+        assert_eq!(
+            PagePolicy::Large2M.heap_page_size_on(x86),
+            PageSize::Large2M
+        );
         assert_eq!(
             PagePolicy::Mixed {
                 threshold_bytes: 1 << 20
             }
-            .heap_page_size(),
+            .heap_page_size_on(x86),
             PageSize::Large2M
         );
     }

@@ -17,7 +17,7 @@
 //!    transformation target) and build the simulated fork-join team.
 
 use crate::policy::{PagePolicy, PopulatePolicy};
-use lpomp_machine::{AsidMode, CodeWalker, Machine, MachineConfig, NumaConfig, NumaPlacement};
+use lpomp_machine::{AsidMode, CodeWalker, Machine, MachineConfig, NumaConfig};
 use lpomp_npb::{verify_close, AppKind, Class, CodeProfile, Kernel};
 use lpomp_prof::{Counters, ProfileSpec};
 use lpomp_runtime::{
@@ -25,7 +25,8 @@ use lpomp_runtime::{
 };
 use lpomp_vm::{
     promote_region, AddressSpace, Arch, Backing, HugePool, KhugepagedConfig, MMArch, NodePolicy,
-    NumaDaemonConfig, PromotionReport, PteFlags, SharedSegment, ShmFs, VirtAddr, VmResult,
+    NumaDaemonConfig, PageSize, PromotionReport, PteFlags, SharedSegment, ShmFs, VirtAddr,
+    VmResult,
 };
 use std::sync::Arc;
 
@@ -110,9 +111,10 @@ pub struct SystemConfig {
     pub threads: usize,
     /// Simulated-engine interleaving quantum (iterations).
     pub quantum: usize,
-    /// Back the heap with *private anonymous* memory instead of a shared
-    /// map file. Required for [`System::promote_heap`] (the THP extension
-    /// E2): the kernel never collapses file-backed pages.
+    /// Back a base-granule heap with *private anonymous* memory instead
+    /// of a shared map file (a heap above the base granule stays a
+    /// hugetlbfs file). Required for [`System::promote_heap`] (the THP
+    /// extension E2): the kernel never collapses file-backed pages.
     pub private_heap: bool,
     /// Attach an incremental khugepaged daemon to the engine: a budgeted
     /// scan runs at every barrier, collapsing chunks (and compacting when
@@ -470,33 +472,22 @@ impl System {
             )?;
         }
 
-        // NUMA placement. The code segment above was mapped *before* the
-        // node policy is installed, so code frames stay on node 0 (as does
-        // the mailbox below: both are small and shared). The heap is where
-        // placement matters, and it is placed one of two ways:
-        //
-        // * **statically**, at segment creation, for the shared (hugetlbfs
-        //   or shm) heaps — master-node puts every chunk on node 0,
-        //   interleave round-robins placement chunks (clamped up to the
-        //   page size: a 2 MB page is indivisible);
-        // * **dynamically**, at fault time, for first-touch — which needs
-        //   a *private anonymous* heap (shared-segment frames belong to
-        //   the segment and are placed when it is created), so under
-        //   first-touch the heap is anonymous at the policy's page size.
-        //   With startup prefaulting the master thread is the first
-        //   toucher of everything, which degenerates to master-node — the
-        //   classic OpenMP pitfall; first-touch results use OnDemand.
-        let numa = cfg.machine.numa;
-        let first_touch = matches!(numa.map(|n| n.placement), Some(NumaPlacement::FirstTouch));
-        if let Some(n) = &numa {
-            let policy = match n.placement {
-                NumaPlacement::MasterNode => NodePolicy::Fixed(0),
-                NumaPlacement::Interleave4K => NodePolicy::Interleave { chunk: 4096 },
-                NumaPlacement::Interleave2M => NodePolicy::Interleave { chunk: 2 << 20 },
-                NumaPlacement::FirstTouch => NodePolicy::FirstTouch,
-            };
-            aspace.set_node_policy(n.nodes, policy);
+        // NUMA placement, one rule for the whole heap: `NodePolicy::node_at`
+        // places anonymous pages at fault time and each page of a shared
+        // file when the file is created. The code segment above was mapped
+        // *before* the policy is installed, so code frames stay on node 0,
+        // as does the mailbox below: both are small and shared.
+        let numa = cfg
+            .machine
+            .numa
+            .map(|n| (n.nodes, n.placement.node_policy()));
+        if let Some((nodes, policy)) = numa {
+            aspace.set_node_policy(nodes, policy);
         }
+        // Node of page `i` of a `page`-sized shared file; `None` without NUMA.
+        let node_of = |page: PageSize, i: u64| {
+            numa.map(|(nodes, policy)| policy.node_at(nodes, i * page.bytes(), page, None))
+        };
 
         // (3)+(4) Shared heap.
         let heap_bytes = kernel.footprint().data_bytes * HEAP_SLACK_NUM / HEAP_SLACK_DEN;
@@ -512,133 +503,92 @@ impl System {
         let heap_len = round.round_up(heap_bytes.max(round.bytes()));
         setup.heap_bytes = heap_len;
         let populate = cfg.populate.as_vm();
-        let (heap_base, small_base) = if cfg.policy.needs_huge_pool() && first_touch {
-            // First-touch large pages: a private anonymous large-paged
-            // heap whose pages land on the faulting thread's node.
-            let heap_base = aspace.mmap(
-                &mut machine.frames,
-                heap_len,
-                heap_page,
-                PteFlags::rw(),
-                Backing::Anonymous,
-                populate,
-                "private-heap",
-            )?;
-            let small_base = if matches!(cfg.policy, PagePolicy::Mixed { .. }) {
-                Some(aspace.mmap(
-                    &mut machine.frames,
-                    MIXED_SMALL_REGION,
-                    base,
-                    PteFlags::rw(),
-                    Backing::Anonymous,
-                    populate,
-                    "small-heap",
-                )?)
-            } else {
-                None
-            };
-            (heap_base, small_base)
+        // One backing choice. Private anonymous memory under first-touch,
+        // because a shared file's frames are placed when the file is
+        // created, not by its first toucher (with startup prefaulting the
+        // master thread touches everything first, the classic OpenMP
+        // pitfall, so first-touch results use OnDemand); and for the THP
+        // scenario's base-granule heap, because the kernel never collapses
+        // file-backed pages. Otherwise a hugetlbfs pool file above the
+        // base granule, or an shm file at it.
+        let anonymous = matches!(numa, Some((_, NodePolicy::FirstTouch)))
+            || (cfg.private_heap && !cfg.policy.needs_huge_pool());
+        let mut shm = ShmFs::with_granule(base);
+        let heap_backing = if anonymous {
+            Backing::Anonymous
         } else if cfg.policy.needs_huge_pool() {
             let pages = heap_page.pages_for(heap_len);
-            let seg = match &numa {
+            let mut pool = match numa {
                 // Static per-node reservation mirrors Linux's per-node
-                // `nr_hugepages`, for *every* pooled rung: decide each
-                // page's node up front, mirror the split in per-node
-                // reservations (gigantic rungs carve aligned runs inside
-                // each node's frame range), then deal pages out
-                // accordingly.
-                Some(n) => {
-                    let chunk = n.placement.granularity().max(heap_page.bytes());
-                    let nodes = n.nodes as u64;
-                    let node_for = |i: u64| ((i * heap_page.bytes() / chunk) % nodes) as usize;
-                    let mut per_node = vec![0u64; n.nodes];
-                    for i in 0..pages {
-                        per_node[node_for(i)] += 1;
+                // `nr_hugepages`, for *every* pooled rung: mirror each
+                // page's node in per-node reservations (gigantic rungs
+                // carve aligned runs inside each node's frame range), then
+                // deal pages out accordingly.
+                Some((nodes, _)) => {
+                    let mut per_node = vec![0u64; nodes];
+                    for n in (0..pages).filter_map(|i| node_of(heap_page, i)) {
+                        per_node[n] += 1;
                     }
-                    let mut pool = HugePool::reserve_per_node_sized(
-                        &mut machine.frames,
-                        &per_node,
-                        heap_page,
-                    )?;
-                    pool.create_file_on("omni-shared-heap", heap_len, node_for)?
+                    HugePool::reserve_per_node_sized(&mut machine.frames, &per_node, heap_page)?
                 }
-                None => {
-                    let mut pool = HugePool::reserve_sized(&mut machine.frames, pages, heap_page)?;
-                    pool.create_file("omni-shared-heap", heap_len)?
-                }
+                None => HugePool::reserve_sized(&mut machine.frames, pages, heap_page)?,
             };
             setup.huge_pages_reserved = pages;
-            let heap_base = aspace.mmap(
-                &mut machine.frames,
-                heap_len,
-                heap_page,
-                PteFlags::rw(),
-                Backing::Shared(seg),
-                populate,
-                "shared-heap",
-            )?;
-            // Under Mixed, add a base-granule region for small allocations.
-            let small_base = if matches!(cfg.policy, PagePolicy::Mixed { .. }) {
-                let mut shm = ShmFs::with_granule(base);
-                let sseg = Self::shm_file(
-                    &mut shm,
-                    &mut machine.frames,
-                    &numa,
-                    "omni-small-heap",
-                    MIXED_SMALL_REGION,
-                )?;
-                Some(aspace.mmap(
-                    &mut machine.frames,
-                    MIXED_SMALL_REGION,
-                    base,
-                    PteFlags::rw(),
-                    Backing::Shared(sseg),
-                    populate,
-                    "small-heap",
-                )?)
-            } else {
-                None
-            };
-            (heap_base, small_base)
-        } else if cfg.private_heap || first_touch {
-            // THP scenario (collapsible later) or first-touch small pages:
-            // either way a private anonymous base-granule heap.
-            let heap_base = aspace.mmap(
-                &mut machine.frames,
-                heap_len,
-                base,
-                PteFlags::rw(),
-                Backing::Anonymous,
-                populate,
-                "private-heap",
-            )?;
-            debug_assert!(heap_base.is_aligned(round));
-            (heap_base, None)
+            Backing::Shared(pool.create_file_on("omni-shared-heap", heap_len, |i| {
+                node_of(heap_page, i).unwrap_or(0)
+            })?)
         } else {
-            let mut shm = ShmFs::with_granule(base);
-            let seg = Self::shm_file(
-                &mut shm,
+            Backing::Shared(shm.create_file_placed(
                 &mut machine.frames,
-                &numa,
                 "omni-shared-heap",
                 heap_len,
-            )?;
-            let heap_base = aspace.mmap(
+                |i| node_of(base, i),
+            )?)
+        };
+        let heap_name = if anonymous {
+            "private-heap"
+        } else {
+            "shared-heap"
+        };
+        let heap_base = aspace.mmap(
+            &mut machine.frames,
+            heap_len,
+            heap_page,
+            PteFlags::rw(),
+            heap_backing,
+            populate,
+            heap_name,
+        )?;
+        debug_assert!(heap_base.is_aligned(round));
+        // Under Mixed, add a base-granule region for small allocations,
+        // backed like the heap.
+        let small_base = if matches!(cfg.policy, PagePolicy::Mixed { .. }) {
+            let backing = if anonymous {
+                Backing::Anonymous
+            } else {
+                Backing::Shared(shm.create_file_placed(
+                    &mut machine.frames,
+                    "omni-small-heap",
+                    MIXED_SMALL_REGION,
+                    |i| node_of(base, i),
+                )?)
+            };
+            Some(aspace.mmap(
                 &mut machine.frames,
-                heap_len,
+                MIXED_SMALL_REGION,
                 base,
                 PteFlags::rw(),
-                Backing::Shared(seg),
+                backing,
                 populate,
-                "shared-heap",
-            )?;
-            (heap_base, None)
+                "small-heap",
+            )?)
+        } else {
+            None
         };
 
         // (5) Mailbox file: always base-granule pages (paper §3.3: the
         // message-passing mailboxes stay in 4 KB pages).
-        let mut shm_mb = ShmFs::with_granule(base);
-        let mb_seg = shm_mb.create_file(&mut machine.frames, "mailbox", MAILBOX_BYTES)?;
+        let mb_seg = shm.create_file(&mut machine.frames, "mailbox", MAILBOX_BYTES)?;
         aspace.mmap(
             &mut machine.frames,
             MAILBOX_BYTES,
@@ -677,29 +627,6 @@ impl System {
             code_prof.cold_period,
         );
         Ok((aspace, setup, heap_base, walker))
-    }
-
-    /// Create a base-granule shm file, statically placed according to the
-    /// NUMA placement (node 0 for master-node, round-robin chunks for
-    /// interleave) when the machine has one.
-    fn shm_file(
-        shm: &mut ShmFs,
-        frames: &mut lpomp_vm::BuddyAllocator,
-        numa: &Option<lpomp_machine::NumaConfig>,
-        name: &str,
-        len: u64,
-    ) -> VmResult<std::sync::Arc<lpomp_vm::SharedSegment>> {
-        match numa {
-            Some(n) => {
-                let small = shm.granule().bytes();
-                let chunk = n.placement.granularity().max(small);
-                let nodes = n.nodes as u64;
-                shm.create_file_placed(frames, name, len, |i| {
-                    Some(((i * small / chunk) % nodes) as usize)
-                })
-            }
-            None => shm.create_file(frames, name, len),
-        }
     }
 
     /// Base virtual address of the shared heap.
@@ -904,7 +831,7 @@ impl MultiSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpomp_machine::opteron_2x2;
+    use lpomp_machine::{opteron_2x2, NumaPlacement};
     use lpomp_npb::{AppKind, Class};
 
     fn build(policy: PagePolicy, populate: PopulatePolicy) -> (System, Box<dyn Kernel>) {
@@ -1071,6 +998,168 @@ mod tests {
         assert!(sys.setup.huge_pages_reserved > 0);
         let cs = kernel.run(&mut sys.team);
         assert!(kernel.verify(cs), "checksum {cs}");
+    }
+
+    #[test]
+    fn heap_bring_up_is_pinned() {
+        // Every heap backing the builder can ask for, on the Opteron with
+        // and without NUMA, run once so demand faults place their pages
+        // too (see `bring_up_row` for what a row holds). The literals were
+        // recorded before the heap bring-up became one backing choice.
+        const PINS: [(u64, u64, u64, u64, u64); 60] = [
+            (0xd2c0334adbcc0c9c, 0, 1366, 2097152, 0xb6355dd104d12845), // None 4KB private=false Prefault
+            (0xf75b7aa77f70077e, 0, 854, 2097152, 0xfe71179acb03451d), // None 4KB private=false OnDemand
+            (0x6565813ff1a094c4, 0, 1366, 2097152, 0x699304bfc2fbd725), // None 4KB private=true Prefault
+            (0xe2ff8b5675af3892, 0, 854, 2097152, 0xed01d68dad0e70e6), // None 4KB private=true OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // None 2MB private=false Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // None 2MB private=false OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // None 2MB private=true Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // None 2MB private=true OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0xd54756db6f29063e), // None mixed private=false Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0xa34b908c3e2def5d), // None mixed private=false OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0xd54756db6f29063e), // None mixed private=true Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0xa34b908c3e2def5d), // None mixed private=true OnDemand
+            (0xd2c0334adbcc0c9c, 0, 1366, 2097152, 0xb6355dd104d12845), // Some(MasterNode) 4KB private=false Prefault
+            (0xf75b7aa77f70077e, 0, 854, 2097152, 0xfe71179acb03451d), // Some(MasterNode) 4KB private=false OnDemand
+            (0x6565813ff1a094c4, 0, 1366, 2097152, 0x699304bfc2fbd725), // Some(MasterNode) 4KB private=true Prefault
+            (0xe2ff8b5675af3892, 0, 854, 2097152, 0x0ac0e6e185a3dac6), // Some(MasterNode) 4KB private=true OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // Some(MasterNode) 2MB private=false Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // Some(MasterNode) 2MB private=false OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // Some(MasterNode) 2MB private=true Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // Some(MasterNode) 2MB private=true OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0xd54756db6f29063e), // Some(MasterNode) mixed private=false Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0xa34b908c3e2def5d), // Some(MasterNode) mixed private=false OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0xd54756db6f29063e), // Some(MasterNode) mixed private=true Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0xa34b908c3e2def5d), // Some(MasterNode) mixed private=true OnDemand
+            (0xd2c0334adbcc0c9c, 0, 1366, 2097152, 0x6fac219f2f65de05), // Some(Interleave4K) 4KB private=false Prefault
+            (0xf75b7aa77f70077e, 0, 854, 2097152, 0xb682885bf5933792), // Some(Interleave4K) 4KB private=false OnDemand
+            (0x6565813ff1a094c4, 0, 1366, 2097152, 0xc9ffa9040c663e25), // Some(Interleave4K) 4KB private=true Prefault
+            (0xe2ff8b5675af3892, 0, 854, 2097152, 0x6b94c11f152efc71), // Some(Interleave4K) 4KB private=true OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // Some(Interleave4K) 2MB private=false Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // Some(Interleave4K) 2MB private=false OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // Some(Interleave4K) 2MB private=true Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // Some(Interleave4K) 2MB private=true OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0xa803d8bac729b0c5), // Some(Interleave4K) mixed private=false Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0x7014c695bbfe2212), // Some(Interleave4K) mixed private=false OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0xa803d8bac729b0c5), // Some(Interleave4K) mixed private=true Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0x7014c695bbfe2212), // Some(Interleave4K) mixed private=true OnDemand
+            (0xd2c0334adbcc0c9c, 0, 1366, 2097152, 0xb6355dd104d12845), // Some(Interleave2M) 4KB private=false Prefault
+            (0xf75b7aa77f70077e, 0, 854, 2097152, 0xfe71179acb03451d), // Some(Interleave2M) 4KB private=false OnDemand
+            (0x6565813ff1a094c4, 0, 1366, 2097152, 0x699304bfc2fbd725), // Some(Interleave2M) 4KB private=true Prefault
+            (0xe2ff8b5675af3892, 0, 854, 2097152, 0x0ac0e6e185a3dac6), // Some(Interleave2M) 4KB private=true OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // Some(Interleave2M) 2MB private=false Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // Some(Interleave2M) 2MB private=false OnDemand
+            (0xa95691aa2ce62c20, 1, 855, 2097152, 0x4ce5f5f7f482f245), // Some(Interleave2M) 2MB private=true Prefault
+            (0xa95691aa2ce62c20, 1, 854, 2097152, 0xfedea70c4c73d085), // Some(Interleave2M) 2MB private=true OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0x13b9c0c485fc41c5), // Some(Interleave2M) mixed private=false Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0xde21654832217a1d), // Some(Interleave2M) mixed private=false OnDemand
+            (0xc432b42a807e933e, 1, 4951, 2097152, 0x13b9c0c485fc41c5), // Some(Interleave2M) mixed private=true Prefault
+            (0x269658871355a126, 1, 854, 2097152, 0xde21654832217a1d), // Some(Interleave2M) mixed private=true OnDemand
+            (0x6565813ff1a094c4, 0, 1366, 2097152, 0x699304bfc2fbd725), // Some(FirstTouch) 4KB private=false Prefault
+            (0xe2ff8b5675af3892, 0, 854, 2097152, 0x98b2f0a853afd002), // Some(FirstTouch) 4KB private=false OnDemand
+            (0x6565813ff1a094c4, 0, 1366, 2097152, 0x699304bfc2fbd725), // Some(FirstTouch) 4KB private=true Prefault
+            (0xe2ff8b5675af3892, 0, 854, 2097152, 0x98b2f0a853afd002), // Some(FirstTouch) 4KB private=true OnDemand
+            (0x8fb8e05efbcdb2c8, 0, 855, 2097152, 0x4ce5f5f7f482f245), // Some(FirstTouch) 2MB private=false Prefault
+            (0x8fb8e05efbcdb2c8, 0, 854, 2097152, 0x31aa639c27009f25), // Some(FirstTouch) 2MB private=false OnDemand
+            (0x8fb8e05efbcdb2c8, 0, 855, 2097152, 0x4ce5f5f7f482f245), // Some(FirstTouch) 2MB private=true Prefault
+            (0x8fb8e05efbcdb2c8, 0, 854, 2097152, 0x31aa639c27009f25), // Some(FirstTouch) 2MB private=true OnDemand
+            (0x8f46274d0f374006, 0, 4951, 2097152, 0xd4556ef8defb6e7a), // Some(FirstTouch) mixed private=false Prefault
+            (0xdf11cb8c470a89d4, 0, 854, 2097152, 0x98b2f0a853afd002), // Some(FirstTouch) mixed private=false OnDemand
+            (0x8f46274d0f374006, 0, 4951, 2097152, 0xd4556ef8defb6e7a), // Some(FirstTouch) mixed private=true Prefault
+            (0xdf11cb8c470a89d4, 0, 854, 2097152, 0x98b2f0a853afd002), // Some(FirstTouch) mixed private=true OnDemand
+        ];
+        let placements = [
+            None,
+            Some(NumaPlacement::MasterNode),
+            Some(NumaPlacement::Interleave4K),
+            Some(NumaPlacement::Interleave2M),
+            Some(NumaPlacement::FirstTouch),
+        ];
+        let policies = [
+            PagePolicy::Small4K,
+            PagePolicy::Large2M,
+            PagePolicy::Mixed {
+                threshold_bytes: 1 << 20,
+            },
+        ];
+        let mut case = 0;
+        for placement in placements {
+            for policy in policies {
+                for private in [false, true] {
+                    for populate in [PopulatePolicy::Prefault, PopulatePolicy::OnDemand] {
+                        let mut b = System::builder(opteron_2x2())
+                            .threads(4)
+                            .policy(policy)
+                            .private_heap(private)
+                            .populate(populate);
+                        if let Some(p) = placement {
+                            b = b.numa(NumaConfig::opteron(p));
+                        }
+                        let row = bring_up_row(&b, Class::S, true);
+                        assert_eq!(
+                            row, PINS[case],
+                            "case {case}: {placement:?} {policy} private={private} {populate:?}"
+                        );
+                        case += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(case, PINS.len());
+
+        // A class-S heap is one pool page, so the order in which a
+        // multi-page pool file deals out its frames shows only in a larger
+        // heap: CG class W with 2 MB pages, prefaulted and not run.
+        const W_PINS: [(u64, u64, u64, u64, u64); 4] = [
+            (0x7d7c1bba3e07f927, 9, 863, 18874368, 0xebfa94524d07b3de), // None 2MB
+            (0x3afc348413d5508d, 9, 4959, 18874368, 0x5fe60948a929ac5b), // None mixed
+            (0x7d7c1bba3e07f927, 9, 863, 18874368, 0xa5cf6a3a1dca3dc5), // Some(Interleave2M) 2MB
+            (0x3afc348413d5508d, 9, 4959, 18874368, 0xaed1be1c4c84ce3e), // Some(Interleave2M) mixed
+        ];
+        let mut case = 0;
+        for placement in [None, Some(NumaPlacement::Interleave2M)] {
+            for policy in [PagePolicy::Large2M, policies[2]] {
+                let mut b = System::builder(opteron_2x2()).threads(4).policy(policy);
+                if let Some(p) = placement {
+                    b = b.numa(NumaConfig::opteron(p));
+                }
+                let row = bring_up_row(&b, Class::W, false);
+                assert_eq!(row, W_PINS[case], "class W: {placement:?} {policy}");
+                case += 1;
+            }
+        }
+    }
+
+    /// Build CG at `class` on `b` (and run it when `run`), then return
+    /// FNV-1a 64 of `smaps()`, the three `SetupStats` fields, and FNV-1a
+    /// 64 of the physical address of every installed page of every VMA
+    /// in address order.
+    fn bring_up_row(b: &SystemBuilder, class: Class, run: bool) -> (u64, u64, u64, u64, u64) {
+        use crate::store::{fnv1a64, FNV_OFFSET};
+        let mut kernel = AppKind::Cg.build(class);
+        let mut sys = b.build(kernel.as_mut()).unwrap();
+        if run {
+            kernel.run(&mut sys.team);
+        }
+        let asp = &sys.team.engine().unwrap().aspace;
+        let mut pas = FNV_OFFSET;
+        for v in asp.vmas() {
+            let mut off = 0;
+            while off < v.len {
+                if let Some(t) = asp.page_table().probe(v.start.add(off)) {
+                    pas = fnv1a64(pas, &t.pa.0.to_le_bytes());
+                }
+                off += v.page_size.bytes();
+            }
+        }
+        let s = sys.setup;
+        (
+            fnv1a64(FNV_OFFSET, asp.smaps().as_bytes()),
+            s.huge_pages_reserved,
+            s.pages_prepopulated,
+            s.heap_bytes,
+            pas,
+        )
     }
 
     #[test]

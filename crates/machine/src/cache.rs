@@ -72,11 +72,6 @@ impl Cache {
         self.lines.find(addr >> LINE_SHIFT).is_some()
     }
 
-    /// Invalidate the whole cache.
-    pub fn flush(&mut self) {
-        self.lines.clear();
-    }
-
     /// Lines currently resident.
     pub fn occupancy(&self) -> usize {
         self.lines.occupancy()
@@ -126,15 +121,6 @@ mod tests {
         assert!(!c.probe(2 << LINE_SHIFT));
         assert!(c.probe(4 << LINE_SHIFT));
         assert_eq!(c.occupancy(), 2, "one of three lines evicted");
-    }
-
-    #[test]
-    fn flush_clears() {
-        let mut c = Cache::new(TINY);
-        c.access(0x1000);
-        c.flush();
-        assert_eq!(c.occupancy(), 0);
-        assert!(!c.probe(0x1000));
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::sched::AsidMode;
 use lpomp_prof::{Counters, Event};
 use lpomp_tlb::{Tlb, TlbOutcome, TlbStats, ASID_SHIFT};
 use lpomp_vm::{
-    AccessKind, AddressSpace, BuddyAllocator, HintSamples, PageSize, PhysAddr, VirtAddr, VmResult,
+    AccessKind, AccessOutcome, AddressSpace, BuddyAllocator, HintSamples, PageSize, PhysAddr,
+    VirtAddr, VmResult,
 };
 
 /// Tag bit added to physical page-walk addresses before they enter the
@@ -309,22 +310,6 @@ impl Machine {
         }
     }
 
-    /// Flush every TLB and cache (fresh-run state).
-    pub fn flush_all(&mut self) {
-        for t in &mut self.dtlbs {
-            t.flush();
-        }
-        for t in &mut self.itlbs {
-            t.flush();
-        }
-        for c in &mut self.l1ds {
-            c.flush();
-        }
-        for c in &mut self.l2s {
-            c.flush();
-        }
-    }
-
     /// Charge one reference through the data-cache hierarchy of `core`.
     /// Returns `(cycles, reached_dram, stalled)`.
     #[inline]
@@ -384,6 +369,51 @@ impl Machine {
             }
             cycles
         }
+    }
+
+    /// Translate `va` for `core` after a TLB miss and charge the walk:
+    /// `walk_base`, the PTE references, and for a fault its cost plus the
+    /// PTE broadcast to every page-table replica. Counts the total as
+    /// [`Event::WalkCycles`] and returns it with the outcome.
+    #[inline]
+    fn walk(
+        &mut self,
+        aspace: &mut AddressSpace,
+        core: usize,
+        va: VirtAddr,
+        kind: AccessKind,
+        counters: &mut Counters,
+    ) -> VmResult<(AccessOutcome, u64)> {
+        // First-touch placement: a fault taken here places the page on
+        // the faulting core's node.
+        let touch = self.cfg.numa.as_ref().map(|_| self.cfg.node_of_core(core));
+        let outcome = aspace.access_from(&mut self.frames, va, kind, touch)?;
+        let mut walk_cycles = self.cfg.cost.walk_base;
+        // Page-walk caches keep the upper levels of the radix tree
+        // resident; only the leaf PTE reference goes through the cache
+        // hierarchy. Without a PWC every level pays.
+        if self.cfg.page_walk_cache {
+            if let Some(leaf) = outcome.trace().steps().last() {
+                walk_cycles += self.walk_ref(core, leaf.0, counters);
+            }
+        } else {
+            for step in outcome.trace().steps() {
+                walk_cycles += self.walk_ref(core, step.0, counters);
+            }
+        }
+        if outcome.faulted() {
+            counters.bump(Event::PageFaults);
+            walk_cycles += self.cfg.cost.page_fault;
+            if let Some(numa) = &self.cfg.numa {
+                // Replicated page tables: the fault's PTE install is
+                // broadcast to every other node's replica.
+                if numa.replicate_pt {
+                    walk_cycles += (numa.nodes as u64 - 1) * self.cfg.cost.pt_edit;
+                }
+            }
+        }
+        counters.add(Event::WalkCycles, walk_cycles);
+        Ok((outcome, walk_cycles))
     }
 
     /// The SMT flush rule: a long-latency stall on a core running more
@@ -515,35 +545,7 @@ impl Machine {
             }
             TlbOutcome::Miss => {
                 counters.bump(Event::DtlbMisses);
-                // First-touch placement: a fault taken here places the
-                // page on the faulting core's node.
-                let touch = self.cfg.numa.as_ref().map(|_| self.cfg.node_of_core(core));
-                let outcome = aspace.access_from(&mut self.frames, va, kind.as_vm(), touch)?;
-                let mut walk_cycles = self.cfg.cost.walk_base;
-                // Page-walk caches keep the upper levels of the radix
-                // tree resident; only the leaf PTE reference goes through
-                // the cache hierarchy. Without a PWC every level pays.
-                if self.cfg.page_walk_cache {
-                    if let Some(leaf) = outcome.trace().steps().last() {
-                        walk_cycles += self.walk_ref(core, leaf.0, counters);
-                    }
-                } else {
-                    for step in outcome.trace().steps() {
-                        walk_cycles += self.walk_ref(core, step.0, counters);
-                    }
-                }
-                if outcome.faulted() {
-                    counters.bump(Event::PageFaults);
-                    walk_cycles += self.cfg.cost.page_fault;
-                    if let Some(numa) = &self.cfg.numa {
-                        // Replicated page tables: the fault's PTE install
-                        // is broadcast to every other node's replica.
-                        if numa.replicate_pt {
-                            walk_cycles += (numa.nodes as u64 - 1) * self.cfg.cost.pt_edit;
-                        }
-                    }
-                }
-                counters.add(Event::WalkCycles, walk_cycles);
+                let (outcome, walk_cycles) = self.walk(aspace, core, va, kind.as_vm(), counters)?;
                 cycles += walk_cycles;
                 if mode == AccessMode::Stream
                     && va.page_offset(outcome.translation().size) < 2 * crate::cache::LINE_BYTES
@@ -709,28 +711,8 @@ impl Machine {
             TlbOutcome::L2Hit(s) => (self.cfg.cost.tlb_l2_hit, s),
             TlbOutcome::Miss => {
                 counters.bump(Event::ItlbMisses);
-                let touch = self.cfg.numa.as_ref().map(|_| self.cfg.node_of_core(core));
-                let outcome = aspace.access_from(&mut self.frames, va, AccessKind::Fetch, touch)?;
-                let mut walk_cycles = self.cfg.cost.walk_base;
-                if self.cfg.page_walk_cache {
-                    if let Some(leaf) = outcome.trace().steps().last() {
-                        walk_cycles += self.walk_ref(core, leaf.0, counters);
-                    }
-                } else {
-                    for step in outcome.trace().steps() {
-                        walk_cycles += self.walk_ref(core, step.0, counters);
-                    }
-                }
-                if outcome.faulted() {
-                    counters.bump(Event::PageFaults);
-                    walk_cycles += self.cfg.cost.page_fault;
-                    if let Some(numa) = &self.cfg.numa {
-                        if numa.replicate_pt {
-                            walk_cycles += (numa.nodes as u64 - 1) * self.cfg.cost.pt_edit;
-                        }
-                    }
-                }
-                counters.add(Event::WalkCycles, walk_cycles);
+                let (outcome, walk_cycles) =
+                    self.walk(aspace, core, va, AccessKind::Fetch, counters)?;
                 let size = outcome.translation().size;
                 self.itlbs[core].fill(va, size);
                 (walk_cycles, size)

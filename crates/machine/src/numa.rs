@@ -21,12 +21,15 @@
 //! 2020), making every walk node-local at the price of broadcasting
 //! every page-table edit.
 //!
-//! [`NumaPlacement`] decides where pages land: statically at segment
-//! creation for the shared heaps (master-node, interleave) or dynamically
-//! at fault time for first-touch, where the runtime places each page on
-//! the faulting thread's node. The optional balancing daemon
-//! (`lpomp_vm::migrate::NumaDaemon`) then migrates pages with persistent
-//! remote accessors.
+//! [`NumaPlacement`] decides where pages land, through one rule
+//! ([`NumaPlacement::node_policy`], applied by [`NodePolicy::node_at`]):
+//! statically at segment creation for the shared heaps (master-node,
+//! interleave) or dynamically at fault time for first-touch, where the
+//! runtime places each page on the faulting thread's node. The optional
+//! balancing daemon (`lpomp_vm::migrate::NumaDaemon`) then migrates pages
+//! with persistent remote accessors.
+
+use lpomp_vm::NodePolicy;
 
 /// How pages are distributed across the nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,14 +50,15 @@ pub enum NumaPlacement {
 }
 
 impl NumaPlacement {
-    /// Placement granularity in bytes (before clamping by page size).
-    /// First-touch has no static granularity; like master-node it reports
-    /// `u64::MAX` (a page is placed wherever its first toucher runs).
-    pub fn granularity(self) -> u64 {
+    /// The address-space rule that carries out this placement:
+    /// [`NodePolicy::node_at`] places anonymous pages at fault time and
+    /// shared-file pages when the file is created.
+    pub fn node_policy(self) -> NodePolicy {
         match self {
-            NumaPlacement::MasterNode | NumaPlacement::FirstTouch => u64::MAX,
-            NumaPlacement::Interleave4K => 4096,
-            NumaPlacement::Interleave2M => 2 * 1024 * 1024,
+            NumaPlacement::MasterNode => NodePolicy::Fixed(0),
+            NumaPlacement::Interleave4K => NodePolicy::Interleave { chunk: 4096 },
+            NumaPlacement::Interleave2M => NodePolicy::Interleave { chunk: 2 << 20 },
+            NumaPlacement::FirstTouch => NodePolicy::FirstTouch,
         }
     }
 
@@ -116,11 +120,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interleave_granularities_and_labels() {
-        assert_eq!(NumaPlacement::Interleave4K.granularity(), 4096);
-        assert_eq!(NumaPlacement::Interleave2M.granularity(), 2 << 20);
-        assert_eq!(NumaPlacement::MasterNode.granularity(), u64::MAX);
-        assert_eq!(NumaPlacement::FirstTouch.granularity(), u64::MAX);
+    fn node_policies_and_labels() {
+        assert_eq!(
+            NumaPlacement::Interleave4K.node_policy(),
+            NodePolicy::Interleave { chunk: 4096 }
+        );
+        assert_eq!(
+            NumaPlacement::Interleave2M.node_policy(),
+            NodePolicy::Interleave { chunk: 2 << 20 }
+        );
+        assert_eq!(
+            NumaPlacement::MasterNode.node_policy(),
+            NodePolicy::Fixed(0)
+        );
+        assert_eq!(
+            NumaPlacement::FirstTouch.node_policy(),
+            NodePolicy::FirstTouch
+        );
         for p in [
             NumaPlacement::MasterNode,
             NumaPlacement::Interleave4K,

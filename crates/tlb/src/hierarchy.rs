@@ -1,4 +1,4 @@
-//! Multi-level TLB hierarchies and the split instruction/data TLB.
+//! Multi-level TLB hierarchies.
 //!
 //! A [`Tlb`] is one or two levels of [`TlbArray`]s — one array per rung of
 //! the translation architecture's page-size ladder per level. Lookups probe
@@ -454,31 +454,6 @@ impl Tlb {
     }
 }
 
-/// A split instruction/data TLB, as on every platform in the paper.
-#[derive(Debug)]
-pub struct SplitTlb {
-    /// Instruction-side TLB.
-    pub itlb: Tlb,
-    /// Data-side TLB.
-    pub dtlb: Tlb,
-}
-
-impl SplitTlb {
-    /// Build from the two geometries.
-    pub fn new(itlb: TlbConfig, dtlb: TlbConfig) -> Self {
-        SplitTlb {
-            itlb: Tlb::new(itlb),
-            dtlb: Tlb::new(dtlb),
-        }
-    }
-
-    /// Flush both sides.
-    pub fn flush(&mut self) {
-        self.itlb.flush();
-        self.dtlb.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,21 +800,5 @@ mod tests {
         t.fill(va, PageSize::Small4K);
         assert_eq!(t.lookup(va), TlbOutcome::L1Hit(PageSize::Small4K));
         assert_eq!(t.stats().cross_asid_evictions, 0);
-    }
-
-    #[test]
-    fn split_tlb_sides_are_independent() {
-        let cfg = TlbConfig {
-            name: "t",
-            arch: Arch::X86_64_2007,
-            l1: LevelConfig::full(4, 2),
-            l2: None,
-        };
-        let mut s = SplitTlb::new(cfg.clone(), cfg);
-        let va = VirtAddr(0x5000);
-        s.itlb.lookup(va);
-        s.itlb.fill(va, PageSize::Small4K);
-        assert_eq!(s.itlb.lookup(va), TlbOutcome::L1Hit(PageSize::Small4K));
-        assert_eq!(s.dtlb.lookup(va), TlbOutcome::Miss);
     }
 }

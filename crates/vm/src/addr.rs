@@ -134,9 +134,6 @@ pub struct VirtAddr(pub u64);
 pub struct PhysAddr(pub u64);
 
 impl VirtAddr {
-    /// The zero address.
-    pub const NULL: VirtAddr = VirtAddr(0);
-
     /// Virtual page number for a given page size.
     #[inline]
     pub const fn vpn(self, size: PageSize) -> u64 {

@@ -146,15 +146,10 @@ impl Khugepaged {
         }
     }
 
-    /// True once a full pass made no progress; cleared by [`Self::kick`]
-    /// or by pressure-valve demotion.
+    /// True once a full pass made no progress; cleared by pressure-valve
+    /// demotion.
     pub fn is_idle(&self) -> bool {
         self.idle
-    }
-
-    /// Wake an idle daemon (call after new mappings appear).
-    pub fn kick(&mut self) {
-        self.idle = false;
     }
 
     /// Number of scan invocations so far.

@@ -34,7 +34,6 @@ pub mod hugetlbfs;
 pub mod khugepaged;
 pub mod migrate;
 pub mod page_table;
-pub mod process;
 pub mod promote;
 pub mod vma;
 
@@ -51,6 +50,5 @@ pub use migrate::{
     NumaScanOutcome, MAX_CORES, MAX_NUMA_NODES,
 };
 pub use page_table::{AccessKind, PageTable, PteFlags, Translation, WalkTrace};
-pub use process::Process;
 pub use promote::{promote_region, PromotionReport};
 pub use vma::{AccessOutcome, AddressSpace, Backing, NodePolicy, Populate, Vma};

@@ -27,16 +27,10 @@ use crate::arch::{Arch, MMArch, Rung, WalkShape, MAX_LADDER};
 use crate::error::{VmError, VmResult};
 use crate::frame::BuddyAllocator;
 
-/// Entries in one x86-64 table node (9 address bits per level). Other
-/// architectures derive their fan-out from [`WalkShape::entries_per_table`].
-pub const ENTRIES_PER_TABLE: usize = 512;
 /// Bytes of one page-table entry.
 pub const PTE_BYTES: u64 = 8;
 /// Radix levels of the x86-64 long-mode walk (PML4, PDPT, PD, PT).
 pub const LEVELS: u8 = 4;
-/// Level at which an x86-64 2 MB leaf terminates the walk (the page
-/// directory).
-pub const LARGE_LEAF_LEVEL: u8 = 1;
 /// Most levels any supported [`WalkShape`] declares (sizes [`WalkTrace`]).
 pub const MAX_WALK_LEVELS: usize = 4;
 

@@ -31,13 +31,15 @@ pub enum Backing {
     Shared(Arc<SharedSegment>),
 }
 
-/// NUMA placement applied when an anonymous page is allocated at fault
-/// time. This is the VM half of the machine's placement policy: the
-/// machine decides which node is "local" to the faulting thread, the
-/// address space decides which node the fresh frame comes from.
+/// NUMA placement: which node a page's frame comes from. The address
+/// space applies it when an anonymous page is allocated at fault time, and
+/// a shared file's creator applies it to each page of the file. This is
+/// the VM half of the machine's placement policy: the machine decides
+/// which node is "local" to the faulting thread, the policy decides which
+/// node the fresh frame comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodePolicy {
-    /// Every anonymous page on one fixed node (the paper's master-node
+    /// Every page on one fixed node (the paper's master-node
     /// degenerate case when the master's node is passed).
     Fixed(usize),
     /// Round-robin `chunk`-byte virtual chunks across the nodes. The chunk
@@ -51,6 +53,23 @@ pub enum NodePolicy {
     /// Linux's default policy. Pages populated without a faulting thread
     /// (eager prepopulation) fall back to node 0.
     FirstTouch,
+}
+
+impl NodePolicy {
+    /// The node, among `nodes`, of the `page`-sized page at byte position
+    /// `at`: its virtual address at fault time, or its offset in a shared
+    /// file placed at creation. `touch` is the faulting thread's node
+    /// (`None` without one).
+    pub fn node_at(self, nodes: usize, at: u64, page: PageSize, touch: Option<usize>) -> usize {
+        let node = match self {
+            NodePolicy::Fixed(n) => n,
+            NodePolicy::Interleave { chunk } => {
+                (at / chunk.max(page.bytes()) % nodes as u64) as usize
+            }
+            NodePolicy::FirstTouch => touch.unwrap_or(0),
+        };
+        node.min(nodes - 1)
+    }
 }
 
 /// When the pages of a freshly created mapping get populated.
@@ -237,11 +256,6 @@ impl AddressSpace {
         &self.vmas
     }
 
-    /// Total bytes mapped across all regions.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.vmas.iter().map(|v| v.len).sum()
-    }
-
     /// Find the region containing `va`.
     pub fn find_vma(&self, va: VirtAddr) -> Option<&Vma> {
         // vmas is sorted by start; binary search for the candidate.
@@ -395,15 +409,8 @@ impl AddressSpace {
         let pa = match backing {
             Backing::Anonymous => match self.node_policy {
                 Some((nodes, policy)) => {
-                    let node = match policy {
-                        NodePolicy::Fixed(n) => n,
-                        NodePolicy::Interleave { chunk } => {
-                            let chunk = chunk.max(size.bytes());
-                            ((page_va.0 / chunk) as usize) % nodes
-                        }
-                        NodePolicy::FirstTouch => touch.unwrap_or(0),
-                    };
-                    frames.alloc_on_node(node.min(nodes - 1), size.buddy_order())?
+                    let node = policy.node_at(nodes, page_va.0, size, touch);
+                    frames.alloc_on_node(node, size.buddy_order())?
                 }
                 None => frames.alloc(size.buddy_order())?,
             },
@@ -624,6 +631,7 @@ mod tests {
         let seg = pool
             .create_file("heap", 2 * PageSize::Large2M.bytes())
             .unwrap();
+        assert_eq!(seg.map_count(), 0);
         let mut a = AddressSpace::new(&mut f).unwrap();
         let mut b = AddressSpace::new(&mut f).unwrap();
         let va_a = a
@@ -648,6 +656,7 @@ mod tests {
                 "shared-heap",
             )
             .unwrap();
+        assert_eq!(seg.map_count(), 2, "both spaces map the segment");
         let pa_a = a
             .access(&mut f, va_a.add(0x1234), AccessKind::Read)
             .unwrap();
@@ -655,6 +664,32 @@ mod tests {
             .access(&mut f, va_b.add(0x1234), AccessKind::Read)
             .unwrap();
         assert_eq!(pa_a.translation().pa, pa_b.translation().pa);
+
+        // Anonymous pages at the same virtual address stay physically
+        // disjoint: separate page tables over one frame pool.
+        let mut anon = |asp: &mut AddressSpace| {
+            let va = asp
+                .mmap(
+                    &mut f,
+                    4096,
+                    PageSize::Small4K,
+                    PteFlags::rw(),
+                    Backing::Anonymous,
+                    Populate::Eager,
+                    "private",
+                )
+                .unwrap();
+            (va, asp.page_table().probe(va).unwrap().pa)
+        };
+        let (anon_va_a, anon_pa_a) = anon(&mut a);
+        let (anon_va_b, anon_pa_b) = anon(&mut b);
+        assert_eq!(anon_va_a, anon_va_b);
+        assert_ne!(anon_pa_a, anon_pa_b);
+
+        a.munmap(&mut f, va_a).unwrap();
+        assert_eq!(seg.map_count(), 1);
+        b.munmap(&mut f, va_b).unwrap();
+        assert_eq!(seg.map_count(), 0);
     }
 
     #[test]
