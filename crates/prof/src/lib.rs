@@ -18,8 +18,8 @@
 //! reuse-distance histograms into the compact [`StreamProfile`] the
 //! analytic backend evaluates. [`json`] is the workspace's one JSON
 //! codec: the workspace's crates write and read every JSON file with it.
-//! [`lru`] is the one true-LRU set structure under the simulated caches,
-//! the TLB arrays and the capture's per-set conflict trackers.
+//! [`lru`] holds the true-LRU bodies under the simulated caches, the TLB
+//! arrays and the capture's per-set conflict trackers.
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
-//! One flat true-LRU set structure for the simulated caches, the TLB
-//! entry arrays and the capture's per-set conflict trackers.
+//! The true-LRU bodies under the simulated caches, the TLB entry arrays
+//! and the capture's per-set conflict trackers.
 //!
 //! [`LruSets`] keeps all keys of a `sets × ways` structure in one
 //! allocation: set `s` is the MRU-first row of `ways` keys from
@@ -7,6 +7,16 @@
 //! bits. [`move_to_front`] reorders a row without allocating: it shifts
 //! the keys ahead of the accessed one back a slot while it scans, so a
 //! reuse at depth `d` costs `d` steps and an MRU hit writes nothing.
+//! That suits the caches' and the set-associative TLB arrays' rows of 2
+//! to 16 ways and the trackers' fixed depth.
+//!
+//! [`IndexedLru`] is the fully associative body: a row of 32 or 128 TLB
+//! entries, probed on every full translation, would cost a scan to the
+//! hit's depth and a whole-row scan per miss. It keeps its keys in fixed
+//! slots, finds a key's slot through a chained hash index and orders the
+//! slots on a doubly linked recency list, so a hit, a miss and a fill
+//! each cost O(1), and an empty array answers a miss from its length
+//! alone. Both bodies evict the same victim, the least recently used key.
 
 /// Outcome of [`move_to_front`] and [`LruSets::access`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,6 +161,209 @@ impl<const WAYS: usize> LruSets<WAYS> {
     /// Keys currently live across all sets.
     pub fn occupancy(&self) -> usize {
         self.lens.iter().map(|&n| usize::from(n)).sum()
+    }
+}
+
+/// One slot's neighbours on the recency list and its successor on its
+/// hash bucket's chain.
+#[derive(Clone, Copy, Debug, Default)]
+struct Link {
+    prev: u16,
+    next: u16,
+    chain: u16,
+}
+
+/// A fully associative true-LRU of up to `capacity` keys whose hits,
+/// misses and fills cost O(1) (see the module docs). A zero-capacity
+/// structure is legal: it holds nothing.
+///
+/// Slot `capacity` is the sentinel: its `next` is the MRU slot and its
+/// `prev` the LRU slot, so the recency list is circular and linking needs
+/// no end cases, and it ends every hash chain.
+#[derive(Clone, Debug)]
+pub struct IndexedLru {
+    /// The key held by each slot; meaningful for live slots only.
+    keys: Vec<u64>,
+    /// Per slot plus the sentinel.
+    links: Vec<Link>,
+    /// First slot of each hash bucket's chain.
+    buckets: Vec<u16>,
+    /// Slots that hold no key; all of them when empty.
+    free: Vec<u16>,
+    /// `64 - log2(buckets.len())`: a key's bucket is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
+}
+
+impl IndexedLru {
+    /// An empty structure of `capacity` keys.
+    pub fn new(capacity: u16) -> Self {
+        let capacity = usize::from(capacity);
+        // At most one key per two buckets keeps chains short.
+        let buckets = (2 * capacity).next_power_of_two().max(2);
+        let mut lru = IndexedLru {
+            keys: vec![0; capacity],
+            links: vec![Link::default(); capacity + 1],
+            buckets: vec![0; buckets],
+            free: Vec::with_capacity(capacity),
+            shift: 64 - buckets.trailing_zeros(),
+        };
+        lru.clear();
+        lru
+    }
+
+    #[inline]
+    fn sentinel(&self) -> u16 {
+        self.keys.len() as u16
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.keys.len()
+    }
+
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn link(&mut self, slot: u16) -> &mut Link {
+        &mut self.links[usize::from(slot)]
+    }
+
+    /// The slot holding `key`. An empty structure answers without
+    /// touching its index.
+    #[inline]
+    fn find(&self, key: u64) -> Option<u16> {
+        if self.is_empty() {
+            return None;
+        }
+        let mut slot = self.buckets[self.bucket(key)];
+        while slot != self.sentinel() {
+            if self.keys[usize::from(slot)] == key {
+                return Some(slot);
+            }
+            slot = self.links[usize::from(slot)].chain;
+        }
+        None
+    }
+
+    /// Take `slot` off the recency list.
+    #[inline]
+    fn unlink(&mut self, slot: u16) {
+        let Link { prev, next, .. } = self.links[usize::from(slot)];
+        self.link(prev).next = next;
+        self.link(next).prev = prev;
+    }
+
+    /// Put `slot` at the MRU end of the recency list.
+    #[inline]
+    fn push_front(&mut self, slot: u16) {
+        let sentinel = self.sentinel();
+        let head = self.links[usize::from(sentinel)].next;
+        let link = self.link(slot);
+        link.prev = sentinel;
+        link.next = head;
+        self.link(head).prev = slot;
+        self.link(sentinel).next = slot;
+    }
+
+    /// Take `slot`, which holds `key`, off its bucket's chain.
+    fn unchain(&mut self, slot: u16, key: u64) {
+        let after = self.links[usize::from(slot)].chain;
+        let bucket = self.bucket(key);
+        let mut at = self.buckets[bucket];
+        if at == slot {
+            self.buckets[bucket] = after;
+            return;
+        }
+        while self.links[usize::from(at)].chain != slot {
+            debug_assert_ne!(at, self.sentinel(), "slot {slot} is not on its chain");
+            at = self.links[usize::from(at)].chain;
+        }
+        self.link(at).chain = after;
+    }
+
+    /// When `key` is live, make it the MRU key and return true; a miss
+    /// changes nothing.
+    #[inline]
+    pub fn touch(&mut self, key: u64) -> bool {
+        let Some(slot) = self.find(key) else {
+            return false;
+        };
+        if self.links[usize::from(self.sentinel())].next != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+        true
+    }
+
+    /// Make `key` the MRU key, inserting it when absent. Returns the LRU
+    /// key that a full structure evicted to make room (`key` itself when
+    /// the capacity is zero).
+    pub fn access(&mut self, key: u64) -> Option<u64> {
+        if self.touch(key) {
+            return None;
+        }
+        let (slot, evicted) = match self.free.pop() {
+            Some(slot) => (slot, None),
+            None if self.keys.is_empty() => return Some(key),
+            None => {
+                let lru = self.links[usize::from(self.sentinel())].prev;
+                let old = self.keys[usize::from(lru)];
+                self.unchain(lru, old);
+                self.unlink(lru);
+                (lru, Some(old))
+            }
+        };
+        self.keys[usize::from(slot)] = key;
+        let bucket = self.bucket(key);
+        self.link(slot).chain = self.buckets[bucket];
+        self.buckets[bucket] = slot;
+        self.push_front(slot);
+        evicted
+    }
+
+    /// True when `key` is live.
+    pub fn contains(&self, key: u64) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// True when `key` is the MRU key.
+    #[inline]
+    pub fn is_mru(&self, key: u64) -> bool {
+        !self.is_empty()
+            && self.keys[usize::from(self.links[usize::from(self.sentinel())].next)] == key
+    }
+
+    /// Remove `key`; false when it was absent.
+    pub fn remove(&mut self, key: u64) -> bool {
+        let Some(slot) = self.find(key) else {
+            return false;
+        };
+        self.unchain(slot, key);
+        self.unlink(slot);
+        self.free.push(slot);
+        true
+    }
+
+    /// Remove every key.
+    pub fn clear(&mut self) {
+        let sentinel = self.sentinel();
+        *self.link(sentinel) = Link {
+            prev: sentinel,
+            next: sentinel,
+            chain: sentinel,
+        };
+        self.buckets.fill(sentinel);
+        self.free.clear();
+        self.free.extend((0..sentinel).rev());
+    }
+
+    /// Keys currently live.
+    pub fn occupancy(&self) -> usize {
+        self.keys.len() - self.free.len()
     }
 }
 
@@ -318,6 +531,92 @@ mod tests {
             let sets = 1 << next(11);
             let ways = 1 + next(32) as usize;
             check::<0>(sets, ways, 0xa11 + i);
+        }
+    }
+
+    /// The keys of `lru`, MRU first, read off its recency list.
+    fn recency(lru: &IndexedLru) -> Vec<u64> {
+        let sentinel = lru.sentinel();
+        let mut keys = Vec::new();
+        let mut at = lru.links[usize::from(sentinel)].next;
+        while at != sentinel {
+            keys.push(lru.keys[usize::from(at)]);
+            at = lru.links[usize::from(at)].next;
+        }
+        keys
+    }
+
+    /// Drive [`IndexedLru`] and a one-set [`Naive`] through a random mix
+    /// of every operation, comparing each outcome, evicted key, `is_mru`,
+    /// the occupancy and the whole recency order after each one. Keys are
+    /// dense, 2 MB-strided, ASID-tagged or random, more than fit, so the
+    /// structure fills, evicts and its hash chains grow and shrink.
+    fn check_indexed(capacity: u16, seed: u64) {
+        let mut next = draws(seed);
+        let mut lru = IndexedLru::new(capacity);
+        let mut naive = Naive::new(1, usize::from(capacity));
+        let span = capacity as u64 + 3;
+        let tag = format!("capacity {capacity} seed {seed:#x}");
+        let mut evictions = 0;
+        for step in 0..4000 {
+            let key = match next(8) {
+                0 => next(1 << 40),
+                1 => next(span) << 9,
+                2 => next(span) | next(3) << 48,
+                _ => next(span),
+            };
+            match next(16) {
+                0..=7 => {
+                    assert_eq!(
+                        lru.contains(key),
+                        naive.find(key).is_some(),
+                        "{tag} step {step}"
+                    );
+                    let want = match naive.access(key) {
+                        Mru::Hit(_) => None,
+                        Mru::Miss(evicted) => evicted,
+                    };
+                    assert_eq!(lru.access(key), want, "{tag} step {step}");
+                    evictions += usize::from(want.is_some());
+                }
+                8..=10 => {
+                    let pos = naive.find(key);
+                    assert_eq!(lru.touch(key), pos.is_some(), "{tag} step {step}");
+                    if let Some(pos) = pos {
+                        naive.promote(key, pos);
+                    }
+                }
+                11..=13 => assert_eq!(lru.remove(key), naive.remove(key), "{tag} step {step}"),
+                14 => assert_eq!(lru.is_mru(key), naive.is_mru(key), "{tag} step {step}"),
+                _ if next(64) == 0 => {
+                    lru.clear();
+                    naive.sets[0].clear();
+                }
+                _ => {}
+            }
+            assert_eq!(lru.occupancy(), naive.occupancy(), "{tag} step {step}");
+            assert_eq!(recency(&lru), naive.sets[0], "{tag} step {step}");
+            assert!(
+                naive.sets[0].iter().all(|&k| lru.contains(k)),
+                "{tag} step {step}: a live key is missing from the index"
+            );
+            if let Some(&mru) = naive.sets[0].first() {
+                assert!(lru.is_mru(mru), "{tag} step {step}");
+            }
+        }
+        assert!(evictions > 0, "{tag}: no access filled a full structure");
+    }
+
+    #[test]
+    fn indexed_lru_matches_the_naive_body() {
+        // Empty, one entry, the 8- and 32-entry 2 MB and Opteron 4 KB
+        // arrays and the Xeon's 128-entry 4 KB array.
+        for (i, capacity) in [0, 1, 8, 32, 128].into_iter().enumerate() {
+            check_indexed(capacity, 0x1d0 + i as u64);
+        }
+        let mut next = draws(0x1d5);
+        for i in 0..24 {
+            check_indexed(1 + next(300) as u16, 0x1e0 + i);
         }
     }
 

@@ -7,12 +7,16 @@
 //! Xeon, 8 vs 32 on the Opteron L1, and *zero* 2 MB entries in the Opteron
 //! L2). [`TlbArray`] models one such array.
 //!
-//! Entries live in one [`LruSets`]: a fully associative array is one set
-//! of `capacity` ways, so a hit under high temporal locality costs
-//! O(1)–O(small) and is exactly true LRU. Set-associative arrays index by
-//! the low VPN bits and keep LRU per set.
+//! The array's geometry picks its true-LRU body. A fully associative
+//! array (the L1 arrays of 8 to 128 entries, which every full translation
+//! probes) keeps its entries in an [`IndexedLru`], so a hit, a miss and a
+//! fill each cost O(1) whatever the capacity, and an empty array (the
+//! 4 KB array of a run on 2 MB pages) answers a miss from its length. A
+//! set-associative array indexes a set by the low VPN bits and keeps each
+//! set as an MRU-first row of [`LruSets`], whose scan is at most `ways`
+//! keys deep. Both evict the true-LRU victim.
 
-use lpomp_prof::lru::{LruSets, Mru};
+use lpomp_prof::lru::{IndexedLru, LruSets, Mru};
 use lpomp_vm::PageSize;
 
 /// Associativity of a TLB array.
@@ -54,13 +58,21 @@ impl ArrayStats {
     }
 }
 
+/// Resident VPNs in true-LRU order, in the body the geometry picks.
+#[derive(Debug)]
+enum Entries {
+    /// [`Assoc::Full`].
+    Full(IndexedLru),
+    /// [`Assoc::Ways`].
+    Sets(LruSets),
+}
+
 /// One TLB entry array for a single page size.
 #[derive(Debug)]
 pub struct TlbArray {
     page_size: PageSize,
     capacity: u16,
-    /// Resident VPNs, MRU first per set (true LRU order).
-    entries: LruSets,
+    entries: Entries,
     pub(crate) stats: ArrayStats,
 }
 
@@ -70,23 +82,23 @@ impl TlbArray {
     /// 2 MB row). For `Assoc::Ways(w)`, `capacity` must divide evenly into
     /// sets of `w` ways.
     pub fn new(page_size: PageSize, capacity: u16, assoc: Assoc) -> Self {
-        let ways = match assoc {
-            Assoc::Full => capacity.max(1),
+        let entries = match assoc {
+            Assoc::Full => Entries::Full(IndexedLru::new(capacity)),
             Assoc::Ways(w) => {
                 assert!(w > 0, "ways must be positive");
                 assert!(
                     capacity.is_multiple_of(w),
                     "capacity {capacity} not divisible by ways {w}"
                 );
-                w
+                // A zero-capacity array is one set of no ways.
+                let sets = usize::from((capacity / w).max(1));
+                Entries::Sets(LruSets::new(sets, usize::from(w.min(capacity))))
             }
         };
-        // A zero-capacity array is one set of no ways.
-        let sets = usize::from((capacity / ways).max(1));
         TlbArray {
             page_size,
             capacity,
-            entries: LruSets::new(sets, usize::from(ways.min(capacity))),
+            entries,
             stats: ArrayStats::default(),
         }
     }
@@ -113,7 +125,10 @@ impl TlbArray {
 
     /// Current number of live entries across all sets.
     pub fn occupancy(&self) -> usize {
-        self.entries.occupancy()
+        match &self.entries {
+            Entries::Full(e) => e.occupancy(),
+            Entries::Sets(e) => e.occupancy(),
+        }
     }
 
     /// Look up a VPN, updating LRU order and counters.
@@ -131,19 +146,20 @@ impl TlbArray {
     /// it knows none of them hit.
     #[inline]
     pub(crate) fn hit(&mut self, vpn: u64) -> bool {
-        match self.entries.find(vpn) {
-            Some(pos) => {
-                self.entries.promote(vpn, pos);
-                self.stats.hits += 1;
-                true
-            }
-            None => false,
-        }
+        let hit = match &mut self.entries {
+            Entries::Full(e) => e.touch(vpn),
+            Entries::Sets(e) => e.find(vpn).map(|pos| e.promote(vpn, pos)).is_some(),
+        };
+        self.stats.hits += u64::from(hit);
+        hit
     }
 
     /// Probe without disturbing LRU order or counters.
     pub fn probe(&self, vpn: u64) -> bool {
-        self.entries.find(vpn).is_some()
+        match &self.entries {
+            Entries::Full(e) => e.contains(vpn),
+            Entries::Sets(e) => e.find(vpn).is_some(),
+        }
     }
 
     /// True when `vpn` is the most-recently-used entry of its set — i.e.
@@ -154,7 +170,10 @@ impl TlbArray {
     /// [`lookup`]: TlbArray::lookup
     /// [`record_hit_bypass`]: TlbArray::record_hit_bypass
     pub fn is_mru(&self, vpn: u64) -> bool {
-        self.entries.is_mru(vpn)
+        match &self.entries {
+            Entries::Full(e) => e.is_mru(vpn),
+            Entries::Sets(e) => e.is_mru(vpn),
+        }
     }
 
     /// Record a hit without searching or reordering the set.
@@ -162,7 +181,7 @@ impl TlbArray {
     /// Correct only when the caller has proven the entry is resident and
     /// already MRU (see [`is_mru`]) — then `lookup` would bump
     /// `stats.hits` and leave the array state untouched, which is exactly
-    /// what this does without the O(ways) scan.
+    /// what this does without the search.
     ///
     /// [`is_mru`]: TlbArray::is_mru
     #[inline]
@@ -178,24 +197,32 @@ impl TlbArray {
         if self.capacity == 0 {
             return None;
         }
-        match self.entries.access(vpn) {
-            Mru::Miss(Some(evicted)) => {
-                self.stats.evictions += 1;
-                Some(evicted)
-            }
-            _ => None,
-        }
+        let evicted = match &mut self.entries {
+            Entries::Full(e) => e.access(vpn),
+            Entries::Sets(e) => match e.access(vpn) {
+                Mru::Miss(evicted) => evicted,
+                Mru::Hit(_) => None,
+            },
+        };
+        self.stats.evictions += u64::from(evicted.is_some());
+        evicted
     }
 
     /// Invalidate every entry.
     pub fn flush(&mut self) {
-        self.entries.clear();
+        match &mut self.entries {
+            Entries::Full(e) => e.clear(),
+            Entries::Sets(e) => e.clear(),
+        }
         self.stats.flushes += 1;
     }
 
     /// Invalidate one page if present (e.g. on munmap).
     pub fn invalidate(&mut self, vpn: u64) -> bool {
-        self.entries.remove(vpn)
+        match &mut self.entries {
+            Entries::Full(e) => e.remove(vpn),
+            Entries::Sets(e) => e.remove(vpn),
+        }
     }
 }
 

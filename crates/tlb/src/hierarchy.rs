@@ -790,6 +790,251 @@ mod tests {
         assert!(evictions_now >= before);
     }
 
+    /// One array of the plain model: an MRU-first list per set, a key's
+    /// set its low bits.
+    struct ModelArray {
+        size: PageSize,
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        stats: ArrayStats,
+    }
+
+    impl ModelArray {
+        fn new(size: PageSize, slot: SizeSlot) -> Self {
+            let (sets, ways) = match slot.assoc {
+                Assoc::Full => (1, slot.entries),
+                Assoc::Ways(w) => ((slot.entries / w).max(1), w.min(slot.entries)),
+            };
+            ModelArray {
+                size,
+                ways: usize::from(ways),
+                sets: vec![Vec::new(); usize::from(sets)],
+                stats: ArrayStats::default(),
+            }
+        }
+
+        fn set(&mut self, key: u64) -> &mut Vec<u64> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(key & (n - 1)) as usize]
+        }
+
+        fn hit(&mut self, key: u64) -> bool {
+            let set = self.set(key);
+            let Some(pos) = set.iter().position(|&k| k == key) else {
+                return false;
+            };
+            set.remove(pos);
+            set.insert(0, key);
+            self.stats.hits += 1;
+            true
+        }
+
+        fn fill(&mut self, key: u64) -> Option<u64> {
+            if self.ways == 0 {
+                return None;
+            }
+            let ways = self.ways;
+            let set = self.set(key);
+            set.retain(|&k| k != key);
+            set.insert(0, key);
+            let evicted = (set.len() > ways).then(|| set.pop().unwrap());
+            self.stats.evictions += u64::from(evicted.is_some());
+            evicted
+        }
+
+        fn remove(&mut self, key: u64) {
+            self.set(key).retain(|&k| k != key);
+        }
+    }
+
+    /// The plain model of a [`Tlb`]: per level, one [`ModelArray`] per
+    /// rung, probed in rank order, an L2 hit promote-filling L1.
+    struct Model {
+        levels: Vec<Vec<ModelArray>>,
+        stats: TlbStats,
+        tag: u64,
+    }
+
+    impl Model {
+        fn new(cfg: &TlbConfig) -> Self {
+            let level = |l: &LevelConfig| {
+                let ladder = cfg.arch.ladder().iter().enumerate();
+                ladder
+                    .map(|(rank, rung)| ModelArray::new(rung.size, l.slot(rank)))
+                    .collect()
+            };
+            Model {
+                levels: std::iter::once(&cfg.l1).chain(&cfg.l2).map(level).collect(),
+                stats: TlbStats::default(),
+                tag: 0,
+            }
+        }
+
+        fn note(&mut self, evicted: Option<u64>) -> Option<u64> {
+            if evicted.is_some_and(|k| k & TAG_MASK != self.tag) {
+                self.stats.cross_asid_evictions += 1;
+            }
+            evicted
+        }
+
+        /// The outcome and the L1 key a promote-fill evicted.
+        fn lookup(&mut self, va: VirtAddr) -> (TlbOutcome, Option<u64>) {
+            let tag = self.tag;
+            for level in 0..self.levels.len() {
+                let arrays = &mut self.levels[level];
+                let Some(rank) = arrays.iter_mut().position(|a| a.hit(va.vpn(a.size) | tag)) else {
+                    arrays.iter_mut().for_each(|a| a.stats.misses += 1);
+                    continue;
+                };
+                let size = arrays[rank].size;
+                if level == 0 {
+                    self.stats.l1_hits += 1;
+                    return (TlbOutcome::L1Hit(size), None);
+                }
+                self.stats.l2_hits += 1;
+                let evicted = self.levels[0][rank].fill(va.vpn(size) | tag);
+                return (TlbOutcome::L2Hit(size), self.note(evicted));
+            }
+            self.stats.misses += 1;
+            (TlbOutcome::Miss, None)
+        }
+
+        fn array(&mut self, level: usize, size: PageSize) -> &mut ModelArray {
+            self.levels[level]
+                .iter_mut()
+                .find(|a| a.size == size)
+                .unwrap()
+        }
+
+        /// The `(level, key)` of every key the fill evicted.
+        fn fill(&mut self, va: VirtAddr, size: PageSize) -> Vec<(usize, u64)> {
+            self.stats.fills += 1;
+            let key = va.vpn(size) | self.tag;
+            (0..self.levels.len())
+                .filter_map(|level| {
+                    let evicted = self.array(level, size).fill(key);
+                    self.note(evicted).map(|k| (level, k))
+                })
+                .collect()
+        }
+
+        fn array_stats(&self) -> Vec<(u8, PageSize, ArrayStats)> {
+            let levels = self.levels.iter().zip(1..);
+            levels
+                .flat_map(|(arrays, l)| arrays.iter().map(move |a| (l, a.size, a.stats)))
+                .collect()
+        }
+    }
+
+    /// Every key the model holds is resident in `tlb`'s matching array,
+    /// no array holds more, and each set's MRU key is the array's.
+    fn assert_same_contents(tlb: &Tlb, model: &Model, at: &str) {
+        let levels = std::iter::once(&tlb.l1).chain(&tlb.l2).zip(&model.levels);
+        for (level, arrays) in levels {
+            for (a, m) in level.arrays.iter().zip(arrays) {
+                let live: usize = m.sets.iter().map(Vec::len).sum();
+                assert_eq!(a.occupancy(), live, "{at}: {} occupancy", m.size);
+                for set in &m.sets {
+                    assert!(
+                        set.iter().all(|&k| a.probe(k)),
+                        "{at}: {} lost a key",
+                        m.size
+                    );
+                    assert!(
+                        set.first().is_none_or(|&k| a.is_mru(k)),
+                        "{at}: {} MRU",
+                        m.size
+                    );
+                }
+            }
+        }
+    }
+
+    /// Drive the Xeon DTLB (128- and 32-entry fully associative arrays)
+    /// and the Opteron DTLB (32- and 8-entry fully associative L1, 4-way
+    /// L2) through random lookups, walk fills, invalidations, flushes and
+    /// ASID switches, checked against the plain model after every step:
+    /// outcomes, evicted VPNs, [`Tlb::stats`] and [`Tlb::array_stats`].
+    #[test]
+    fn fully_associative_tlbs_match_a_plain_mru_list_model() {
+        for (cfg, seed) in [
+            (crate::presets::XEON_DTLB, 0x7e0u64),
+            (crate::presets::OPTERON_DTLB, 0x7e1),
+        ] {
+            let mut state = seed;
+            let mut next = |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let mut tlb = Tlb::new(cfg.clone());
+            let mut model = Model::new(&cfg);
+            let mut evictions = 0;
+            for step in 0..12_000 {
+                let at = format!("{} step {step}", cfg.name);
+                // 4 KB pages below 1 GB, more than either level holds;
+                // 2 MB pages above it, more than the 2 MB arrays hold.
+                let (va, size) = if next(4) == 0 {
+                    let page = (1 << 30) + next(48) * PageSize::Large2M.bytes();
+                    (VirtAddr(page + next(1 << 21)), PageSize::Large2M)
+                } else {
+                    (VirtAddr(next(1500) * 4096 + next(4096)), PageSize::Small4K)
+                };
+                match next(64) {
+                    0..=3 => {
+                        tlb.invalidate(va, size);
+                        let key = va.vpn(size) | model.tag;
+                        (0..model.levels.len()).for_each(|l| model.array(l, size).remove(key));
+                    }
+                    4 => {
+                        let asid = next(3) as u16;
+                        tlb.set_asid(asid);
+                        model.tag = u64::from(asid) << ASID_SHIFT;
+                    }
+                    5 if next(8) == 0 => {
+                        tlb.flush();
+                        model.levels.iter_mut().flatten().for_each(|a| {
+                            a.sets.iter_mut().for_each(Vec::clear);
+                            a.stats.flushes += 1;
+                        });
+                        model.stats.flushes += 1;
+                    }
+                    _ => {
+                        let (want, evicted) = model.lookup(va);
+                        assert_eq!(tlb.lookup(va), want, "{at}: lookup");
+                        let mut gone: Vec<_> = evicted.map(|k| (0, k)).into_iter().collect();
+                        if want == TlbOutcome::Miss {
+                            tlb.fill(va, size);
+                            gone.extend(model.fill(va, size));
+                        }
+                        for &(level, key) in &gone {
+                            let level = if level == 0 {
+                                &tlb.l1
+                            } else {
+                                tlb.l2.as_ref().unwrap()
+                            };
+                            assert!(!level.array(size).probe(key), "{at}: kept victim {key:#x}");
+                        }
+                        evictions += gone.len();
+                    }
+                }
+                assert_eq!(tlb.stats(), model.stats, "{at}: stats");
+                assert_eq!(tlb.array_stats(), model.array_stats(), "{at}: array stats");
+                if step % 16 == 0 {
+                    assert_same_contents(&tlb, &model, &at);
+                }
+            }
+            assert!(evictions > 1000, "{}: only {evictions} evictions", cfg.name);
+            assert!(
+                model.stats.cross_asid_evictions > 0,
+                "{}: no cross-ASID eviction",
+                cfg.name
+            );
+        }
+    }
+
     #[test]
     fn asid_zero_behaviour_matches_untagged() {
         // Driving a TLB without ever touching set_asid must behave as

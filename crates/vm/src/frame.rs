@@ -41,9 +41,11 @@ pub struct BuddyAllocator {
     /// Free lists per order; ordered sets so behaviour is deterministic
     /// (lowest address first) and buddy membership checks are O(log n).
     free: Vec<BTreeSet<u64>>, // physical frame number (4 KB units) of block base
-    /// Live allocations: block base pfn → order. Catches double frees and
-    /// wrong-order frees.
-    allocated: std::collections::HashMap<u64, u8>,
+    /// Live allocations, one byte per base frame: `order + 1` of the
+    /// block based at that frame, 0 where none is. Catches double frees
+    /// and wrong-order frees. It starts zeroed, so the pages of frames
+    /// never allocated stay untouched.
+    live: Vec<u8>,
     /// Total managed base frames.
     total_frames: u64,
     /// Currently free base frames.
@@ -88,7 +90,7 @@ impl BuddyAllocator {
         };
         let mut a = BuddyAllocator {
             free: (0..=MAX_ORDER).map(|_| BTreeSet::new()).collect(),
-            allocated: std::collections::HashMap::new(),
+            live: vec![0; usize::try_from(total_frames).expect("frame count fits usize")],
             total_frames,
             free_frames: 0,
             stats: FrameStats::default(),
@@ -215,7 +217,7 @@ impl BuddyAllocator {
             }
             self.free_frames -= 1 << order;
             self.stats.allocs += 1;
-            self.allocated.insert(pfn, order);
+            self.mark_live(pfn, order);
             return Ok(PhysAddr(pfn << SMALL_PAGE_SHIFT));
         }
         self.stats.failures += 1;
@@ -254,7 +256,7 @@ impl BuddyAllocator {
         }
         self.free_frames -= 1 << order;
         self.stats.allocs += 1;
-        self.allocated.insert(pfn, order);
+        self.mark_live(pfn, order);
         Ok(PhysAddr(pfn << SMALL_PAGE_SHIFT))
     }
 
@@ -268,7 +270,7 @@ impl BuddyAllocator {
             0,
             "freed block {addr:?} not aligned to order {order}"
         );
-        match self.allocated.remove(&pfn) {
+        match self.take_live(pfn) {
             Some(o) => assert_eq!(o, order, "block {addr:?} freed with wrong order"),
             None => panic!("double free or foreign free of block at {addr:?}"),
         }
@@ -323,7 +325,7 @@ impl BuddyAllocator {
         }
         self.free_frames -= span;
         self.stats.allocs += 1;
-        self.allocated.insert(base, order);
+        self.mark_live(base, order);
         Ok(PhysAddr(base << SMALL_PAGE_SHIFT))
     }
 
@@ -366,7 +368,7 @@ impl BuddyAllocator {
             }
             self.free_frames -= span;
             self.stats.allocs += 1;
-            self.allocated.insert(base, order);
+            self.mark_live(base, order);
             return Ok(PhysAddr(base << SMALL_PAGE_SHIFT));
         }
         self.stats.failures += 1;
@@ -387,7 +389,7 @@ impl BuddyAllocator {
             0,
             "freed block {addr:?} not aligned to order {order}"
         );
-        match self.allocated.remove(&pfn) {
+        match self.take_live(pfn) {
             Some(o) => assert_eq!(o, order, "block {addr:?} freed with wrong order"),
             None => panic!("double free or foreign free of block at {addr:?}"),
         }
@@ -438,7 +440,7 @@ impl BuddyAllocator {
         }
         self.free_frames -= 1 << order;
         self.stats.allocs += 1;
-        self.allocated.insert(pfn, order);
+        self.mark_live(pfn, order);
         Ok(PhysAddr(pfn << SMALL_PAGE_SHIFT))
     }
 
@@ -450,12 +452,12 @@ impl BuddyAllocator {
     pub fn split_allocated(&mut self, addr: PhysAddr, order: u8) {
         assert!(order <= MAX_ORDER);
         let pfn = addr.0 >> SMALL_PAGE_SHIFT;
-        match self.allocated.remove(&pfn) {
+        match self.take_live(pfn) {
             Some(o) => assert_eq!(o, order, "block {addr:?} split with wrong order"),
             None => panic!("split of unallocated block at {addr:?}"),
         }
         for i in 0..(1u64 << order) {
-            self.allocated.insert(pfn + i, 0);
+            self.mark_live(pfn + i, 0);
         }
     }
 
@@ -471,7 +473,7 @@ impl BuddyAllocator {
         let mut out = Vec::new();
         let mut pos = base_pfn;
         while pos < end {
-            if let Some(&ord) = self.allocated.get(&pos) {
+            if let Some(ord) = self.live_order(pos) {
                 out.push((pos, ord));
                 pos += 1u64 << ord;
                 continue;
@@ -496,6 +498,22 @@ impl BuddyAllocator {
             }
         }
         Some(out)
+    }
+
+    /// Record a live block of `order` based at `pfn`.
+    fn mark_live(&mut self, pfn: u64, order: u8) {
+        self.live[pfn as usize] = order + 1;
+    }
+
+    /// Order of the live block based at `pfn`, if one is.
+    fn live_order(&self, pfn: u64) -> Option<u8> {
+        self.live.get(pfn as usize)?.checked_sub(1)
+    }
+
+    /// Forget the live block based at `pfn`, returning its order; `None`
+    /// when no block is based there (or `pfn` lies outside the extent).
+    fn take_live(&mut self, pfn: u64) -> Option<u8> {
+        std::mem::take(self.live.get_mut(pfn as usize)?).checked_sub(1)
     }
 
     /// Fault injection for adversarial tests: the next `count` allocations
@@ -620,6 +638,14 @@ mod tests {
         let mut a = BuddyAllocator::new(mb(4));
         let p = a.alloc(0).unwrap();
         a.free(p, 0);
+        a.free(p, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "freed with wrong order")]
+    fn wrong_order_free_panics() {
+        let mut a = BuddyAllocator::new(mb(4));
+        let p = a.alloc(1).unwrap();
         a.free(p, 0);
     }
 

@@ -353,24 +353,18 @@ impl HugePool {
             .files
             .remove(name)
             .ok_or_else(|| VmError::NoSuchFile(name.to_owned()))?;
-        match Arc::try_unwrap(seg) {
-            Ok(seg) => {
-                self.stats.in_use -= seg.frames.len() as u64;
-                for pa in seg.frames {
-                    match self.origin.get(&pa.0) {
-                        Some(&node) => self.node_free[node].push(pa),
-                        None => self.free.push(pa),
-                    }
+        // A file still mapped somewhere stays alive without a name, its
+        // pages in use.
+        if let Ok(seg) = Arc::try_unwrap(seg) {
+            self.stats.in_use -= seg.frames.len() as u64;
+            for pa in seg.frames {
+                match self.origin.get(&pa.0) {
+                    Some(&node) => self.node_free[node].push(pa),
+                    None => self.free.push(pa),
                 }
-                Ok(())
-            }
-            Err(seg) => {
-                // Still mapped somewhere; keep it alive without a name.
-                self.stats.in_use -= 0; // unchanged; pages still in use
-                drop(seg);
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// Release the pool's unused pages back to the buddy allocator.
