@@ -1001,6 +1001,45 @@ mod tests {
     }
 
     #[test]
+    fn first_touch_gigantic_heap_faults_whole_rungs() {
+        // First-touch backs the heap with private anonymous memory, so
+        // every heap page is a fault-time allocation of the rung's order,
+        // which lies above the buddy `MAX_ORDER` on these two presets.
+        use lpomp_machine::{arm64_2x2_16k, modern_x86_2x2, NumaConfig};
+        for (machine, rung) in [
+            (modern_x86_2x2(), PageSize::Page1G),
+            (arm64_2x2_16k(), PageSize::Page32M),
+        ] {
+            for populate in [PopulatePolicy::OnDemand, PopulatePolicy::Prefault] {
+                let at = format!("{} {populate:?}", machine.name);
+                let mut kernel = AppKind::Cg.build(Class::S);
+                let mut sys = System::builder(machine.clone())
+                    .threads(4)
+                    .numa(NumaConfig::opteron(NumaPlacement::FirstTouch))
+                    .page_size(2)
+                    .populate(populate)
+                    .build(kernel.as_mut())
+                    .unwrap();
+                let cs = kernel.run(&mut sys.team);
+                assert!(kernel.verify(cs), "{at}: checksum {cs}");
+                let asp = &sys.team.engine().unwrap().aspace;
+                let heap = asp.find_vma(sys.heap_base()).expect("heap is mapped");
+                assert_eq!(heap.page_size, rung, "{at}");
+                let mut installed = 0;
+                let mut off = 0;
+                while off < heap.len {
+                    if let Some(t) = asp.page_table().probe(heap.start.add(off)) {
+                        assert_eq!(t.size, rung, "{at}: page at offset {off:#x}");
+                        installed += 1;
+                    }
+                    off += rung.bytes();
+                }
+                assert!(installed > 0, "{at}: no heap page installed");
+            }
+        }
+    }
+
+    #[test]
     fn heap_bring_up_is_pinned() {
         // Every heap backing the builder can ask for, on the Opteron with
         // and without NUMA, run once so demand faults place their pages

@@ -45,6 +45,8 @@ pub enum VmError {
     NoSuchFile(String),
     /// Named shared file already exists.
     FileExists(String),
+    /// Named shared file is still held and cannot be unlinked.
+    FileBusy(String),
     /// Requested range lies outside the file/region.
     OutOfRange {
         /// Offset requested.
@@ -83,6 +85,7 @@ impl fmt::Display for VmError {
             }
             VmError::NoSuchFile(n) => write!(f, "no shared file named {n:?}"),
             VmError::FileExists(n) => write!(f, "shared file {n:?} already exists"),
+            VmError::FileBusy(n) => write!(f, "shared file {n:?} is still in use"),
             VmError::OutOfRange {
                 offset,
                 len,

@@ -5,10 +5,14 @@
 //!
 //! The pool is carved out of the buddy allocator at construction — the
 //! boot-time reservation that guarantees order-9 blocks exist even after
-//! the rest of physical memory fragments. Files created in the pool own a
-//! fixed run of large frames; mapping a file into several address spaces
-//! shares those frames, which is how all processes of the node see one
-//! memory image.
+//! the rest of physical memory fragments. A pool of any rung size, the
+//! gigantic ones above the buddy `MAX_ORDER` included, reserves its pages
+//! with [`BuddyAllocator::alloc`], or [`BuddyAllocator::alloc_on_node`]
+//! per node. Files created in the pool own a fixed run of large frames;
+//! mapping a file into several address spaces shares those frames, which
+//! is how all processes of the node see one memory image. A file is
+//! unlinked only once nothing holds it, so its pages always return to the
+//! pool.
 //!
 //! [`ShmFs`] is the small-page sibling used for the intra-node mailbox
 //! file, which the paper deliberately keeps in traditional 4 KB pages.
@@ -87,24 +91,12 @@ impl SharedSegment {
     }
 }
 
-/// Statistics for a huge-page pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HugePoolStats {
-    /// Pages reserved at pool creation.
-    pub reserved: u64,
-    /// Pages currently handed out to files.
-    pub in_use: u64,
-    /// Peak simultaneous usage.
-    pub peak: u64,
-    /// Allocation requests that failed because the pool was empty.
-    pub failed: u64,
-}
-
 /// Boot-time reserved pool of huge pages (the `hugetlbfs` analogue).
 /// Classically 2 MB pages; [`reserve_sized`](Self::reserve_sized) builds
 /// pools of any rung size — including gigantic sizes (1 GB, 32 MB) that
-/// exceed the buddy allocator's `MAX_ORDER` and therefore *only* exist via
-/// this boot-time reservation, exactly as on Linux.
+/// exceed the buddy allocator's `MAX_ORDER`, which the allocator carves
+/// only while whole aligned runs of memory are still free: at boot, in
+/// practice, exactly as on Linux.
 #[derive(Debug)]
 pub struct HugePool {
     page_size: PageSize,
@@ -117,7 +109,6 @@ pub struct HugePool {
     /// unlink. Lookup-only, so unordered iteration never matters.
     origin: HashMap<u64, usize>,
     files: HashMap<String, Arc<SharedSegment>>,
-    stats: HugePoolStats,
 }
 
 impl HugePool {
@@ -140,12 +131,12 @@ impl HugePool {
         let order = size.buddy_order();
         let mut free = Vec::with_capacity(pages as usize);
         for _ in 0..pages {
-            match frames.alloc_block(order) {
+            match frames.alloc(order) {
                 Ok(pa) => free.push(pa),
                 Err(e) => {
                     // Roll back the partial reservation.
                     for pa in free {
-                        frames.free_block(pa, order);
+                        frames.free(pa, order);
                     }
                     return Err(e);
                 }
@@ -157,10 +148,6 @@ impl HugePool {
             node_free: Vec::new(),
             origin: HashMap::new(),
             files: HashMap::new(),
-            stats: HugePoolStats {
-                reserved: pages,
-                ..Default::default()
-            },
         })
     }
 
@@ -177,7 +164,7 @@ impl HugePool {
     /// [`reserve_per_node`](Self::reserve_per_node) for any rung size,
     /// including gigantic sizes above the buddy `MAX_ORDER` — those carve
     /// aligned runs *inside* each node's frame range (see
-    /// [`BuddyAllocator::alloc_block_on_node`]), so a per-node gigantic
+    /// [`BuddyAllocator::alloc_on_node`]), so a per-node gigantic
     /// reservation succeeds only while every named node still holds a
     /// fully free aligned run.
     pub fn reserve_per_node_sized(
@@ -194,20 +181,20 @@ impl HugePool {
         let rollback = |frames: &mut BuddyAllocator, buckets: &mut Vec<Vec<PhysAddr>>| {
             for bucket in buckets.iter_mut() {
                 for pa in bucket.drain(..) {
-                    frames.free_block(pa, order);
+                    frames.free(pa, order);
                 }
             }
         };
         for (node, &pages) in per_node.iter().enumerate() {
             for _ in 0..pages {
-                match frames.alloc_block_on_node(node, order) {
+                match frames.alloc_on_node(node, order) {
                     Ok(pa) if frames.node_of(pa) == node => {
                         origin.insert(pa.0, node);
                         node_free[node].push(pa);
                     }
                     Ok(pa) => {
                         // Landed off-node: the node itself is full.
-                        frames.free_block(pa, order);
+                        frames.free(pa, order);
                         rollback(frames, &mut node_free);
                         return Err(VmError::OutOfMemory { order });
                     }
@@ -224,10 +211,6 @@ impl HugePool {
             node_free,
             origin,
             files: HashMap::new(),
-            stats: HugePoolStats {
-                reserved: per_node.iter().sum(),
-                ..Default::default()
-            },
         })
     }
 
@@ -246,11 +229,6 @@ impl HugePool {
         self.node_free.get(node).map_or(0, |b| b.len() as u64)
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> HugePoolStats {
-        self.stats
-    }
-
     /// Create a named file of `len_bytes` (rounded up to whole pool pages)
     /// backed by pool pages.
     pub fn create_file(&mut self, name: &str, len_bytes: u64) -> VmResult<Arc<SharedSegment>> {
@@ -259,7 +237,6 @@ impl HugePool {
         }
         let pages = self.page_size.pages_for(len_bytes);
         if pages > self.free.len() as u64 {
-            self.stats.failed += 1;
             return Err(VmError::HugePoolExhausted {
                 requested: pages,
                 available: self.free.len() as u64,
@@ -267,8 +244,6 @@ impl HugePool {
         }
         let at = self.free.len() - pages as usize;
         let frames = self.free.split_off(at);
-        self.stats.in_use += pages;
-        self.stats.peak = self.stats.peak.max(self.stats.in_use);
         let seg = Arc::new(SharedSegment {
             name: name.to_owned(),
             page_size: self.page_size,
@@ -301,7 +276,6 @@ impl HugePool {
         }
         let pages = self.page_size.pages_for(len_bytes);
         if pages > self.available() {
-            self.stats.failed += 1;
             return Err(VmError::HugePoolExhausted {
                 requested: pages,
                 available: self.available(),
@@ -324,8 +298,6 @@ impl HugePool {
                     .expect("bucket checked non-empty"),
             );
         }
-        self.stats.in_use += pages;
-        self.stats.peak = self.stats.peak.max(self.stats.in_use);
         let seg = Arc::new(SharedSegment {
             name: name.to_owned(),
             page_size: self.page_size,
@@ -344,26 +316,25 @@ impl HugePool {
             .ok_or_else(|| VmError::NoSuchFile(name.to_owned()))
     }
 
-    /// Remove a file, returning its pages to the pool once no address space
-    /// holds a reference (callers must have dropped their mappings' `Arc`s;
-    /// pages of still-referenced files are retained, like an unlinked but
-    /// open file).
+    /// Remove a file and return its pages to the pool. A file that an
+    /// address space still maps, or anyone else still holds, is refused
+    /// with [`VmError::FileBusy`] and left in place: the pool has no way
+    /// to take its pages back once the last holder lets go.
     pub fn unlink(&mut self, name: &str) -> VmResult<()> {
         let seg = self
             .files
-            .remove(name)
+            .get(name)
             .ok_or_else(|| VmError::NoSuchFile(name.to_owned()))?;
-        // A file still mapped somewhere stays alive without a name, its
-        // pages in use.
-        if let Ok(seg) = Arc::try_unwrap(seg) {
-            self.stats.in_use -= seg.frames.len() as u64;
-            for pa in seg.frames {
-                match self.origin.get(&pa.0) {
-                    Some(&node) => self.node_free[node].push(pa),
-                    None => self.free.push(pa),
-                }
+        if Arc::strong_count(seg) > 1 {
+            return Err(VmError::FileBusy(name.to_owned()));
+        }
+        for &pa in &seg.frames {
+            match self.origin.get(&pa.0) {
+                Some(&node) => self.node_free[node].push(pa),
+                None => self.free.push(pa),
             }
         }
+        self.files.remove(name);
         Ok(())
     }
 
@@ -371,13 +342,11 @@ impl HugePool {
     pub fn shrink_to_fit(&mut self, frames: &mut BuddyAllocator) {
         let order = self.page_size.buddy_order();
         for pa in self.free.drain(..) {
-            frames.free_block(pa, order);
-            self.stats.reserved -= 1;
+            frames.free(pa, order);
         }
         for bucket in self.node_free.iter_mut() {
             for pa in bucket.drain(..) {
-                frames.free_block(pa, order);
-                self.stats.reserved -= 1;
+                frames.free(pa, order);
             }
         }
     }
@@ -497,7 +466,6 @@ mod tests {
         let seg = pool.create_file("heap", 5 * 1024 * 1024).unwrap(); // 3 pages
         assert_eq!(seg.page_count(), 3);
         assert_eq!(pool.available(), 5);
-        assert_eq!(pool.stats().in_use, 3);
         // frames are 2MB aligned
         for i in 0..3 {
             assert_eq!(seg.frame(i).unwrap().0 % PageSize::Large2M.bytes(), 0);
@@ -543,7 +511,6 @@ mod tests {
                 available: 2
             })
         );
-        assert_eq!(pool.stats().failed, 1);
     }
 
     #[test]
@@ -577,7 +544,21 @@ mod tests {
         drop(seg);
         pool.unlink("heap").unwrap();
         assert_eq!(pool.available(), 4);
-        assert_eq!(pool.stats().in_use, 0);
+    }
+
+    #[test]
+    fn unlink_refuses_a_file_still_referenced() {
+        let mut f = frames();
+        let mut pool = HugePool::reserve(&mut f, 4).unwrap();
+        let seg = pool
+            .create_file("heap", 2 * PageSize::Large2M.bytes())
+            .unwrap();
+        assert_eq!(pool.unlink("heap"), Err(VmError::FileBusy("heap".into())));
+        assert_eq!(pool.available(), 2);
+        assert!(Arc::ptr_eq(&pool.open_file("heap").unwrap(), &seg));
+        drop(seg);
+        pool.unlink("heap").unwrap();
+        assert_eq!(pool.available(), 4);
     }
 
     #[test]

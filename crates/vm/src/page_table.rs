@@ -202,8 +202,6 @@ pub struct PageTableStats {
     pub mappings: [u64; MAX_LADDER],
     /// Table nodes currently allocated (including the root).
     pub nodes: u64,
-    /// Total walks performed via [`PageTable::walk`].
-    pub walks: u64,
 }
 
 impl PageTableStats {
@@ -455,7 +453,6 @@ impl PageTable {
     /// the one replica indexed by `va` — the contiguous hint costs the
     /// walker nothing.
     pub fn walk(&mut self, va: VirtAddr, kind: AccessKind) -> VmResult<(Translation, WalkTrace)> {
-        self.stats.walks += 1;
         let mut trace = WalkTrace::new();
         let mut node = &mut self.root;
         let mut level = self.shape.levels - 1;

@@ -101,9 +101,6 @@ pub fn promote_region(
         }
         chunk = chunk.add(large.bytes());
     }
-    if report.promoted > 0 {
-        aspace.note_promotion(region_start);
-    }
     Ok(report)
 }
 

@@ -171,7 +171,6 @@ pub struct AddressSpace {
     vmas: Vec<Vma>, // kept sorted by start
     next_mmap: u64,
     faults: FaultStats,
-    promotions: u64,
     /// `(nodes, policy)` governing anonymous frame placement; `None` keeps
     /// the allocator's default (lowest address first).
     node_policy: Option<(usize, NodePolicy)>,
@@ -191,7 +190,6 @@ impl AddressSpace {
             vmas: Vec::new(),
             next_mmap: MMAP_BASE,
             faults: FaultStats::default(),
-            promotions: 0,
             node_policy: None,
         })
     }
@@ -209,17 +207,6 @@ impl AddressSpace {
     /// Fault statistics snapshot.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults
-    }
-
-    /// Number of regions that have had chunks promoted to large pages.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Record that a region was (partially) promoted — called by
-    /// [`crate::promote::promote_region`].
-    pub(crate) fn note_promotion(&mut self, _start: VirtAddr) {
-        self.promotions += 1;
     }
 
     /// Remove one page mapping (promotion migration path).
