@@ -18,6 +18,13 @@
 //! lets one profile answer any (machine × page policy × placement) point
 //! analytically.
 //!
+//! Each [`ReuseTracker`] is an exact LRU stack that keeps every key's
+//! position in dense blocks of consecutive keys. Kernels stream over and
+//! gather from arrays, so the keys of one thread are dense: a capture
+//! costs a few bytes per distinct key, and most lookups stay in the
+//! block used last. Keys scattered thinly over a wide range (a random
+//! gather over a large footprint) cost a block per few keys instead.
+//!
 //! Everything here is dependency-free; serialization round-trips through
 //! the crate's one JSON codec, [`crate::json`].
 
@@ -276,6 +283,53 @@ const FRONT: usize = 32;
 /// Fewest slots the rest of a [`ReuseTracker`] is sized to.
 const MIN_SLOTS: usize = 256;
 
+/// A [`SlotTable`] block covers `1 << BLOCK_BITS` consecutive keys.
+const BLOCK_BITS: u32 = 10;
+const BLOCK: usize = 1 << BLOCK_BITS;
+
+/// A [`SlotTable`] entry for a key that is not in the rest. Slots stay
+/// below it (`renumber` bounds them).
+const NONE: u32 = u32::MAX;
+
+/// The rest's slot of every key, held densely: one `u32` per key in
+/// blocks of [`BLOCK`] consecutive keys, [`NONE`] where a key is not in
+/// the rest. A block is allocated when a key in it is first looked up
+/// and kept for the tracker's life. Streams and gathers reuse nearby
+/// keys, so consecutive lookups mostly land in the block used last,
+/// which is cached in front of the block map.
+struct SlotTable {
+    /// Block number (`key >> BLOCK_BITS`) → the block's offset in `slots`.
+    blocks: FxMap<u64, usize>,
+    slots: Vec<u32>,
+    /// Block number and offset of the block used last; no key has block
+    /// number `u64::MAX`.
+    last: (u64, usize),
+}
+
+impl SlotTable {
+    fn new() -> Self {
+        SlotTable {
+            blocks: FxMap::default(),
+            slots: Vec::new(),
+            last: (u64::MAX, 0),
+        }
+    }
+
+    /// `key`'s entry, allocating its block (all [`NONE`]) if new.
+    #[inline]
+    fn entry(&mut self, key: u64) -> &mut u32 {
+        let block = key >> BLOCK_BITS;
+        if block != self.last.0 {
+            let at = *self.blocks.entry(block).or_insert_with(|| {
+                self.slots.resize(self.slots.len() + BLOCK, NONE);
+                self.slots.len() - BLOCK
+            });
+            self.last = (block, at);
+        }
+        &mut self.slots[self.last.1 + (key as usize & (BLOCK - 1))]
+    }
+}
+
 /// Exact per-thread LRU stack distances over a key stream (keys are
 /// line/page numbers). `access` returns the number of *distinct other*
 /// keys touched since the key's previous access (`None` on first touch),
@@ -286,16 +340,21 @@ const MIN_SLOTS: usize = 256;
 /// MRU-first array, so a reuse at distance `d < 32` costs a `d`-step
 /// scan. A key pushed off the front gets the next *slot*: slots number
 /// keys in the order they left the front, which is the order of their
-/// last access. Live slots are a bitset with a Fenwick tree over its
-/// 64-slot words, so a deeper reuse has distance 32 + the live slots
-/// newer than its own, counted in `O(log(slots / 64))`. When the slots
-/// run out they are renumbered in place by rank, amortizing to
-/// near-constant per access.
+/// last access. A dense slot table (one `u32` per key, in blocks of
+/// 1 024 consecutive keys) maps each key to its slot, so the consecutive
+/// keys of a stream or gather share a few host cache lines instead of
+/// scattering over a hash table. Live slots are a bitset with a Fenwick
+/// tree over its 64-slot words, so a deeper reuse has distance 32 + the
+/// live slots newer than its own, counted in `O(log(slots / 64))`. When
+/// the slots run out they are renumbered in place by rank, walking the
+/// table block by block, amortizing to near-constant per access.
 pub struct ReuseTracker {
     front: [u64; FRONT],
     front_len: usize,
     /// Slot of every key not in the front.
-    slot: FxMap<u64, u32>,
+    table: SlotTable,
+    /// Keys in the rest (live slots).
+    rest: usize,
     /// One bit per slot, set while its key is live.
     live: Vec<u64>,
     /// Fenwick tree (1-based) over the popcounts of `live`'s words.
@@ -316,7 +375,8 @@ impl ReuseTracker {
         ReuseTracker {
             front: [0; FRONT],
             front_len: 0,
-            slot: FxMap::default(),
+            table: SlotTable::new(),
+            rest: 0,
             live: Vec::new(),
             tree: Vec::new(),
             next: 0,
@@ -342,12 +402,14 @@ impl ReuseTracker {
     /// `ThreadRecorder::data` inlines seven trackers.
     #[inline(never)]
     fn rest_access(&mut self, key: u64, evicted: u64) -> Option<u64> {
-        let dist = self.slot.remove(&key).map(|s| {
+        let s = std::mem::replace(self.table.entry(key), NONE);
+        let dist = (s != NONE).then(|| {
             let (w, bit) = (s as usize / 64, 1u64 << (s % 64));
             self.live[w] &= !bit;
             self.add(w, -1);
+            self.rest -= 1;
             let older = self.prefix(w) + (self.live[w] & (bit - 1)).count_ones();
-            (FRONT + self.slot.len()) as u64 - u64::from(older)
+            (FRONT + self.rest) as u64 - u64::from(older)
         });
         self.push(evicted);
         dist
@@ -355,7 +417,7 @@ impl ReuseTracker {
 
     /// Number of distinct keys seen so far.
     pub fn distinct(&self) -> usize {
-        self.front_len + self.slot.len()
+        self.front_len + self.rest
     }
 
     /// Live slots in words `..w`.
@@ -389,7 +451,8 @@ impl ReuseTracker {
         self.next += 1;
         self.live[s / 64] |= 1 << (s % 64);
         self.add(s / 64, 1);
-        self.slot.insert(key, s as u32);
+        self.rest += 1;
+        *self.table.entry(key) = s as u32;
     }
 
     /// Renumber the `n` live slots to `0..n` by rank, keeping their
@@ -402,14 +465,17 @@ impl ReuseTracker {
             self.tree[w] = below;
             below += bits.count_ones();
         }
-        for s in self.slot.values_mut() {
+        for s in self.table.slots.iter_mut().filter(|s| **s != NONE) {
             let (w, b) = (*s as usize / 64, *s % 64);
             *s = self.tree[w] + (self.live[w] & ((1 << b) - 1)).count_ones();
         }
-        let n = self.slot.len();
+        let n = self.rest;
         let words = (4 * n).max(MIN_SLOTS).div_ceil(64);
-        // Slots are stored as `u32`.
-        assert!(words <= 1 << 26, "reuse tracker needs more than 2^32 slots");
+        // Slots are stored as `u32` and stay below `NONE`.
+        assert!(
+            words < 1 << 26,
+            "reuse tracker needs 2^32 - 64 slots or more"
+        );
         self.live.clear();
         self.live.resize(words, 0);
         self.live[..n / 64].fill(u64::MAX);
@@ -1179,7 +1245,24 @@ mod tests {
             }
         }
         assert!(mixed.iter().any(|&k| k > 1 << 41));
-        for (name, keys) in [("small", &small), ("mixed", &mixed)] {
+        // Keys the slot table holds one or two to a block: both sides of
+        // the edges of far-apart blocks (k * BLOCK - 1 and k * BLOCK), a
+        // key inside each, key 0 and the largest line key, drawn with a
+        // hot subset so distances fall on both sides of the front.
+        let top = u64::MAX >> 6;
+        let mut pool = vec![0, top, top - 1, BLOCK as u64 - 1, BLOCK as u64];
+        for _ in 0..150 {
+            let block = (next(1 << 24) << 24 | next(1 << 24)).max(1);
+            let edge = block << BLOCK_BITS;
+            pool.extend([edge - 1, edge, edge + next(BLOCK as u64)]);
+        }
+        let sparse: Vec<u64> = (0..8000)
+            .map(|_| match next(4) {
+                0 => pool[next(16) as usize],
+                _ => pool[next(pool.len() as u64) as usize],
+            })
+            .collect();
+        for (name, keys) in [("small", &small), ("mixed", &mixed), ("sparse", &sparse)] {
             let want = naive_distances(keys);
             let mut tr = ReuseTracker::new();
             let mut seen = std::collections::HashSet::new();
@@ -1194,9 +1277,20 @@ mod tests {
                     straddled[usize::from(d >= FRONT as u64)] = true;
                 }
             }
-            if name == "mixed" {
-                assert_eq!(straddled, [true; 2], "distances on both sides of the front");
-                assert!(renumbered >= 3, "rest renumbered {renumbered} times");
+            if name != "small" {
+                assert_eq!(
+                    straddled, [true; 2],
+                    "{name}: distances on both sides of the front"
+                );
+                assert!(
+                    renumbered >= 3,
+                    "{name}: rest renumbered {renumbered} times"
+                );
+            }
+            if name == "sparse" {
+                assert!(seen.contains(&0) && seen.contains(&top));
+                let blocks = tr.table.blocks.len();
+                assert!(blocks >= 300, "sparse: keys in only {blocks} blocks");
             }
         }
     }

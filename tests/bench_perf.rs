@@ -16,7 +16,11 @@ use lpomp::prof::{parse_json, Json};
 
 /// `(pr, FNV-1a 64 of the entry's parsed form)` for every entry but the
 /// newest.
-const PINS: &[(u64, u64)] = &[(18, 0x1b1e_e359_c4f6_bf36), (20, 0x5047_66cb_6e07_58df)];
+const PINS: &[(u64, u64)] = &[
+    (18, 0x1b1e_e359_c4f6_bf36),
+    (20, 0x5047_66cb_6e07_58df),
+    (22, 0x4736_5e2f_a0a0_3936),
+];
 
 fn read(name: &str) -> Json {
     let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
