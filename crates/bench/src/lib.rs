@@ -57,6 +57,7 @@ fn positional_args() -> Vec<String> {
 }
 
 /// Parse the class argument (first non-flag CLI arg), defaulting to `W`.
+/// An unknown class is a usage error (exit status 2).
 pub fn class_from_args() -> Class {
     let positional = positional_args().into_iter().next();
     match positional.as_deref() {
@@ -64,24 +65,21 @@ pub fn class_from_args() -> Class {
         Some("A") | Some("a") => Class::A,
         Some("B") | Some("b") => Class::B,
         Some("W") | Some("w") | None => Class::W,
-        Some(other) => {
-            eprintln!("unknown class {other:?}; expected S, W, A or B — using W");
-            Class::W
-        }
+        Some(other) => usage_error(&format!("unknown class {other:?}: expected S, W, A or B")),
     }
 }
 
 /// Parse the `--backend=cycle|analytic` flag, defaulting to cycle-exact
-/// (the golden outputs are cycle-exact; the flag is the fast path).
+/// (the golden outputs are cycle-exact; the flag is the fast path). An
+/// unknown backend is a usage error (exit status 2).
 pub fn backend_from_args() -> BackendKind {
     for arg in std::env::args().skip(1) {
         if let Some(name) = arg.strip_prefix("--backend=") {
-            match BackendKind::parse(name) {
-                Some(kind) => return kind,
-                None => {
-                    eprintln!("unknown backend {name:?}; expected cycle or analytic — using cycle")
-                }
-            }
+            return BackendKind::parse(name).unwrap_or_else(|| {
+                usage_error(&format!(
+                    "unknown backend {name:?}: expected cycle or analytic"
+                ))
+            });
         }
     }
     BackendKind::CycleExact

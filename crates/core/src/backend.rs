@@ -238,9 +238,9 @@ pub const XVAL_SECONDS_BAND_PCT: f64 = 12.0;
 /// constants, where tens of microseconds of absolute error read as
 /// double-digit relative error. No decision the sweeps inform rests on
 /// a sub-millisecond delta, so error is measured against the floor.
-pub const XVAL_SECONDS_FLOOR: f64 = 1e-3;
+pub(crate) const XVAL_SECONDS_FLOOR: f64 = 1e-3;
 
-/// Relative run-time error in percent, with the [`XVAL_SECONDS_FLOOR`]
+/// Relative run-time error in percent, with the `XVAL_SECONDS_FLOOR`
 /// denominator clamp for sub-millisecond configurations.
 pub fn xval_seconds_err_pct(predicted: f64, reference: f64) -> f64 {
     (predicted - reference).abs() / reference.abs().max(XVAL_SECONDS_FLOOR) * 100.0
@@ -259,28 +259,13 @@ pub const XVAL_DTLB_BAND_PCT: f64 = 40.0;
 /// entire TLB cost is under 0.1% of any class-W run time, so relative
 /// error against the true count is noise (e.g. 8 predicted vs 4 actual
 /// cold misses is "100%"). Error is measured against the floor instead.
-pub const XVAL_DTLB_FLOOR: u64 = 10_000;
+pub(crate) const XVAL_DTLB_FLOOR: u64 = 10_000;
 
-/// Relative DTLB-miss error in percent, with the [`XVAL_DTLB_FLOOR`]
+/// Relative DTLB-miss error in percent, with the `XVAL_DTLB_FLOOR`
 /// denominator clamp for negligible counts.
 pub fn xval_dtlb_err_pct(predicted: u64, reference: u64) -> f64 {
     let denom = reference.max(XVAL_DTLB_FLOOR) as f64;
     (predicted as f64 - reference as f64).abs() / denom * 100.0
-}
-
-/// Relative error of a prediction against a reference, in percent.
-/// A zero reference with a zero prediction is 0%; a zero reference with
-/// a nonzero prediction is infinite.
-pub fn rel_err_pct(predicted: f64, reference: f64) -> f64 {
-    if reference == 0.0 {
-        if predicted == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (predicted - reference).abs() / reference.abs() * 100.0
-    }
 }
 
 #[cfg(test)]
@@ -302,10 +287,6 @@ mod tests {
 
     #[test]
     fn rel_err_edge_cases() {
-        assert_eq!(rel_err_pct(0.0, 0.0), 0.0);
-        assert_eq!(rel_err_pct(1.0, 0.0), f64::INFINITY);
-        assert!((rel_err_pct(1.1, 1.0) - 10.0).abs() < 1e-9);
-        assert!((rel_err_pct(0.9, 1.0) - 10.0).abs() < 1e-9);
         // The DTLB metric clamps tiny denominators to the floor…
         let e = xval_dtlb_err_pct(8, 4);
         assert!((e - 400.0 / XVAL_DTLB_FLOOR as f64).abs() < 1e-9);

@@ -59,9 +59,8 @@ pub mod sweep;
 pub mod system;
 
 pub use backend::{
-    cached_profile, capture_profile, rel_err_pct, run_backend, xval_dtlb_err_pct,
-    xval_seconds_err_pct, Analytic, Backend, BackendKind, CycleExact, XVAL_DTLB_BAND_PCT,
-    XVAL_DTLB_FLOOR, XVAL_SECONDS_BAND_PCT, XVAL_SECONDS_FLOOR,
+    cached_profile, capture_profile, run_backend, xval_dtlb_err_pct, xval_seconds_err_pct,
+    Analytic, Backend, BackendKind, CycleExact, XVAL_DTLB_BAND_PCT, XVAL_SECONDS_BAND_PCT,
 };
 pub use experiment::{figure4_thread_counts, run_sim, run_system, RunOpts, RunRecord};
 pub use lpomp_prof::ProfileSpec;
@@ -72,5 +71,5 @@ pub use store::{sweep_id, GridCell, JsonlSink, RunStore, Shard, ShardManifest, S
 pub use sweep::{KeyedGrid, SweepResults, SweepSpec};
 pub use system::{
     MultiRunReport, MultiSystem, SetupStats, System, SystemBuilder, SystemConfig, TenancyConfig,
-    TenantReport, TenantSpec, CODE_BASE, DEFAULT_TIMESLICE,
+    TenantReport, TenantSpec, DEFAULT_TIMESLICE,
 };

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Environment variable overriding the worker count used by
 /// [`default_workers`] (and thus by [`crate::SweepSpec::run`] and the
 /// figure binaries). Values below 1 or unparsable are ignored.
-pub const WORKERS_ENV: &str = "LPOMP_WORKERS";
+pub(crate) const WORKERS_ENV: &str = "LPOMP_WORKERS";
 
 /// The worker count to use when the caller expresses no preference:
 /// `LPOMP_WORKERS` if set to a positive integer, else the host's

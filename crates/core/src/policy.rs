@@ -53,7 +53,7 @@ impl PagePolicy {
     ///
     /// # Panics
     /// Panics when the policy's rank is off `arch`'s ladder.
-    pub fn heap_page_size_on(self, arch: Arch) -> PageSize {
+    pub(crate) fn heap_page_size_on(self, arch: Arch) -> PageSize {
         let rank = self.rank();
         arch.ladder()
             .get(rank)
@@ -62,7 +62,7 @@ impl PagePolicy {
     }
 
     /// Whether a hugetlbfs pool must be reserved.
-    pub fn needs_huge_pool(self) -> bool {
+    pub(crate) fn needs_huge_pool(self) -> bool {
         self.rank() > 0
     }
 

@@ -97,9 +97,9 @@ impl StoreKey {
     ///
     /// The fingerprint embeds the config's full `Debug` rendering: every
     /// field of [`SystemConfig`] (the machine's TLB and cache geometries,
-    /// cost model and NUMA layout, then policy, populate, threads,
-    /// quantum, daemons, profiling, tenancy, schedule and stealing)
-    /// participates, and a *new* field invalidates old keys
+    /// cost model and NUMA layout, then policy, populate, threads, the
+    /// private-heap flag, daemons, profiling, tenancy, schedule and
+    /// stealing) participates, and a *new* field invalidates old keys
     /// automatically — deliberately conservative, because a silent stale
     /// hit is the failure mode this store exists to eliminate. No config
     /// type holds a hash map, so the rendering is deterministic.
@@ -561,7 +561,7 @@ impl JsonlSink {
     }
 
     /// Stream to an arbitrary writer.
-    pub fn from_writer(w: Box<dyn std::io::Write + Send>) -> JsonlSink {
+    pub(crate) fn from_writer(w: Box<dyn std::io::Write + Send>) -> JsonlSink {
         JsonlSink { out: Mutex::new(w) }
     }
 
@@ -729,8 +729,8 @@ mod tests {
     fn every_config_axis_moves_the_address() {
         use crate::system::{SystemBuilder, TenantSpec};
         use lpomp_prof::ProfileSpec;
-        use lpomp_runtime::{Schedule, StealPolicy, DEFAULT_QUANTUM};
-        use lpomp_vm::{KhugepagedConfig, NumaDaemonConfig};
+        use lpomp_runtime::{Schedule, StealPolicy};
+        use lpomp_vm::NumaDaemonConfig;
         let base = || SystemBuilder::new(opteron_2x2());
         let key_of = |app, class, b: SystemBuilder, opts, backend| {
             StoreKey::for_config(app, class, b.config(), opts, backend)
@@ -752,9 +752,8 @@ mod tests {
             cg(base().policy(PagePolicy::Large2M)),
             cg(base().populate(crate::PopulatePolicy::OnDemand)),
             cg(base().threads(2)),
-            cg(base().quantum(DEFAULT_QUANTUM + 1)),
-            cg(base().private_heap(true)),
-            cg(base().khugepaged(KhugepagedConfig::default())),
+            cg(base().thp()),
+            cg(base().thp_daemon(true)),
             cg(base().numa_daemon(NumaDaemonConfig::default())),
             cg(base().profile(ProfileSpec::Regions)),
             cg(base().tenants(vec![TenantSpec::new("solo", AppKind::Cg, Class::S, 1)])),
@@ -844,7 +843,7 @@ mod tests {
         let file = std::fs::read_to_string(store.dir().join(k.file_name())).unwrap();
         assert_eq!(
             pin(&file),
-            (2054, 0x3a60_292f_f627_cffb),
+            (2041, 0x5fbf_4a97_a6fd_dab6),
             "cell file bytes drifted"
         );
         let back: Xy = store.load_cell(&k).unwrap();
@@ -869,7 +868,7 @@ mod tests {
         let file = std::fs::read_to_string(store.dir().join(k.file_name())).unwrap();
         assert_eq!(
             pin(&file),
-            (2754, 0xf1bc_6889_2af3_624c),
+            (2741, 0xf27b_a3a3_9248_0ba3),
             "record file bytes drifted"
         );
         let back = store.load(&k).expect("hit after save");

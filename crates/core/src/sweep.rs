@@ -129,17 +129,16 @@ impl SweepSpec {
     /// Execute the sweep on exactly `workers` threads. `run_parallel(1)`
     /// is the serial loop; any other count produces the same records in
     /// the same (grid) order.
-    pub fn run_parallel(&self, workers: usize) -> SweepResults {
+    pub(crate) fn run_parallel(&self, workers: usize) -> SweepResults {
         self.grid().run_all(workers).into()
     }
 
     /// Execute with a progress callback `(completed, total)`.
     ///
-    /// Serial by construction (the callback is `FnMut`); use [`run`] or
-    /// [`run_parallel`] when no per-run hook is needed.
+    /// Serial by construction (the callback is `FnMut`); use [`run`] when
+    /// no per-run hook is needed.
     ///
     /// [`run`]: SweepSpec::run
-    /// [`run_parallel`]: SweepSpec::run_parallel
     pub fn run_with_progress(&self, mut progress: impl FnMut(usize, usize)) -> SweepResults {
         let cells = self.cells();
         let total = cells.len();

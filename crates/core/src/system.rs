@@ -25,13 +25,11 @@ use lpomp_runtime::{
 };
 use lpomp_vm::{
     promote_region, AddressSpace, Arch, Backing, HugePool, KhugepagedConfig, MMArch, NodePolicy,
-    NumaDaemonConfig, PageSize, PromotionReport, PteFlags, SharedSegment, ShmFs, VirtAddr,
-    VmResult,
+    NumaDaemonConfig, PageSize, PromotionReport, PteFlags, ShmFs, VirtAddr, VmResult,
 };
-use std::sync::Arc;
 
 /// Fixed base of the code segment (conventional ELF text base).
-pub const CODE_BASE: VirtAddr = VirtAddr(0x40_0000);
+pub(crate) const CODE_BASE: VirtAddr = VirtAddr(0x40_0000);
 /// Shared-region slack beyond the kernel's declared footprint.
 const HEAP_SLACK_NUM: u64 = 11;
 const HEAP_SLACK_DEN: u64 = 10;
@@ -80,11 +78,6 @@ pub struct TenancyConfig {
     pub timeslice_cycles: u64,
     /// TLB handling across context switches.
     pub asid_mode: AsidMode,
-    /// When non-zero, a read-only "shared library" segment of this many
-    /// bytes (4 KB pages, one physical image) is mapped into every
-    /// tenant right after its code segment and included in its
-    /// instruction-fetch span.
-    pub shared_lib_bytes: u64,
 }
 
 impl Default for TenancyConfig {
@@ -93,7 +86,6 @@ impl Default for TenancyConfig {
             tenants: Vec::new(),
             timeslice_cycles: DEFAULT_TIMESLICE,
             asid_mode: AsidMode::Tagged,
-            shared_lib_bytes: 0,
         }
     }
 }
@@ -109,8 +101,6 @@ pub struct SystemConfig {
     pub populate: PopulatePolicy,
     /// Logical threads.
     pub threads: usize,
-    /// Simulated-engine interleaving quantum (iterations).
-    pub quantum: usize,
     /// Back a base-granule heap with *private anonymous* memory instead
     /// of a shared map file (a heap above the base granule stays a
     /// hugetlbfs file). Required for [`System::promote_heap`] (the THP
@@ -182,7 +172,6 @@ impl SystemBuilder {
                 policy: PagePolicy::Small4K,
                 populate: PopulatePolicy::Prefault,
                 threads: 1,
-                quantum: DEFAULT_QUANTUM,
                 private_heap: false,
                 khugepaged: None,
                 numa_daemon: None,
@@ -238,15 +227,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Simulated-engine interleaving quantum (iterations).
-    pub fn quantum(mut self, quantum: usize) -> Self {
-        self.cfg.quantum = quantum;
-        self
-    }
-
     /// Back the heap with private anonymous memory (required for
     /// [`System::promote_heap`]; implied by [`Self::thp`]).
-    pub fn private_heap(mut self, private: bool) -> Self {
+    fn private_heap(mut self, private: bool) -> Self {
         self.cfg.private_heap = private;
         self
     }
@@ -267,12 +250,6 @@ impl SystemBuilder {
             self.cfg.khugepaged = None;
             self
         }
-    }
-
-    /// Attach an incremental khugepaged daemon with an explicit config.
-    pub fn khugepaged(mut self, cfg: KhugepagedConfig) -> Self {
-        self.cfg.khugepaged = Some(cfg);
-        self
     }
 
     /// Make the platform NUMA (placement policy, node count, PT
@@ -341,16 +318,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Map one read-only shared-library image of this many bytes into
-    /// every tenant (0 disables; see [`TenancyConfig::shared_lib_bytes`]).
-    pub fn shared_lib(mut self, bytes: u64) -> Self {
-        self.cfg
-            .tenancy
-            .get_or_insert_with(TenancyConfig::default)
-            .shared_lib_bytes = bytes;
-        self
-    }
-
     /// Assemble the multi-tenant machine configured by [`Self::tenants`].
     pub fn build_tenants(&self) -> VmResult<MultiSystem> {
         MultiSystem::build(&self.cfg)
@@ -399,8 +366,7 @@ impl System {
     /// the measured benchmark.
     pub fn build(cfg: &SystemConfig, kernel: &mut dyn Kernel) -> VmResult<System> {
         let mut machine = Machine::new(cfg.machine.clone());
-        let (aspace, setup, heap_base, walker) =
-            Self::build_parts(cfg, kernel, &mut machine, None)?;
+        let (aspace, setup, heap_base, walker) = Self::build_parts(cfg, kernel, &mut machine)?;
         Ok(System {
             team: Team::simulated(Self::engine(cfg, machine, aspace, walker)),
             setup,
@@ -411,7 +377,7 @@ impl System {
     /// Wire the simulated engine `cfg` asks for around one process:
     /// daemons, profiler, schedule override and steal policy.
     fn engine(cfg: &SystemConfig, m: Machine, aspace: AddressSpace, code: CodeWalker) -> SimEngine {
-        let mut engine = SimEngine::new(m, aspace, cfg.threads, code, cfg.quantum);
+        let mut engine = SimEngine::new(m, aspace, cfg.threads, code, DEFAULT_QUANTUM);
         if let Some(k) = cfg.khugepaged {
             engine.enable_khugepaged(k);
         }
@@ -424,16 +390,14 @@ impl System {
         engine
     }
 
-    /// Steps (2)–(6) of bring-up for one process: code segment (plus the
-    /// shared-library image when `lib` is given), heap, mailbox, kernel
-    /// `setup`, code walker. Frames come from `machine` — for colocated
+    /// Steps (2)–(6) of bring-up for one process: code segment, heap,
+    /// mailbox, kernel `setup`, code walker. Frames come from `machine` — for colocated
     /// tenants the *real* machine, so every process carves disjoint
     /// physical memory out of the same per-node buddy pools.
     fn build_parts(
         cfg: &SystemConfig,
         kernel: &mut dyn Kernel,
         machine: &mut Machine,
-        lib: Option<&Arc<SharedSegment>>,
     ) -> VmResult<(AddressSpace, SetupStats, VirtAddr, CodeWalker)> {
         let arch = cfg.machine.arch();
         let base = arch.base();
@@ -454,23 +418,6 @@ impl System {
             lpomp_vm::Populate::Eager,
             "code",
         )?;
-
-        // Optional shared-library image: one physical segment mapped
-        // read-only into every tenant, directly after the code segment so
-        // the code walker sweeps both. Base-granule pages, eagerly mapped
-        // like the code itself.
-        if let Some(seg) = lib {
-            aspace.mmap_fixed(
-                &mut machine.frames,
-                CODE_BASE.add(base.round_up(code_prof.code_bytes)),
-                seg.len_bytes(),
-                base,
-                PteFlags::rx(),
-                Backing::Shared(Arc::clone(seg)),
-                lpomp_vm::Populate::Eager,
-                "shared-lib",
-            )?;
-        }
 
         // NUMA placement, one rule for the whole heap: `NodePolicy::node_at`
         // places anonymous pages at fault time and each page of a shared
@@ -614,15 +561,9 @@ impl System {
         };
         kernel.setup(&mut alloc);
 
-        // The fetch span covers the code plus the shared-library image
-        // when one is mapped; without one it is exactly the binary size.
-        let code_span = match lib {
-            Some(seg) => base.round_up(code_prof.code_bytes) + seg.len_bytes(),
-            None => code_prof.code_bytes,
-        };
         let walker = CodeWalker::new(
             CODE_BASE,
-            code_span,
+            code_prof.code_bytes,
             code_prof.hot_bytes,
             code_prof.cold_period,
         );
@@ -630,7 +571,8 @@ impl System {
     }
 
     /// Base virtual address of the shared heap.
-    pub fn heap_base(&self) -> VirtAddr {
+    #[cfg(test)]
+    pub(crate) fn heap_base(&self) -> VirtAddr {
         self.heap_base
     }
 
@@ -728,7 +670,6 @@ pub struct MultiSystem {
     specs: Vec<TenantSpec>,
     timeslice: u64,
     mode: AsidMode,
-    lib: Option<Arc<SharedSegment>>,
     /// Per-tenant bring-up statistics, in spec order.
     pub setup: Vec<SetupStats>,
 }
@@ -748,12 +689,6 @@ impl MultiSystem {
         assert!(!ten.tenants.is_empty(), "no tenants configured");
         let n = ten.tenants.len() as u64;
         let mut machine = Machine::new(cfg.machine.clone());
-        let lib = if ten.shared_lib_bytes > 0 {
-            let mut shm = ShmFs::new();
-            Some(shm.create_file(&mut machine.frames, "shared-lib", ten.shared_lib_bytes)?)
-        } else {
-            None
-        };
         let mut tasks = Vec::new();
         let mut refs = Vec::new();
         let mut setup = Vec::new();
@@ -769,7 +704,7 @@ impl MultiSystem {
             }
             let mut kernel = spec.app.build(spec.class);
             let (aspace, s, _heap, walker) =
-                System::build_parts(&tcfg, kernel.as_mut(), &mut machine, lib.as_ref())?;
+                System::build_parts(&tcfg, kernel.as_mut(), &mut machine)?;
             // The engine starts on a placeholder machine (same config);
             // the real one arrives with its first timeslice grant.
             let placeholder = Machine::new(cfg.machine.clone());
@@ -791,14 +726,8 @@ impl MultiSystem {
             specs: ten.tenants,
             timeslice: ten.timeslice_cycles,
             mode: ten.asid_mode,
-            lib,
             setup,
         })
-    }
-
-    /// The shared-library segment, when one was configured.
-    pub fn shared_lib(&self) -> Option<&Arc<SharedSegment>> {
-        self.lib.as_ref()
     }
 
     /// Run every tenant to completion under the timeslice scheduler.
@@ -1292,22 +1221,5 @@ mod tests {
             .map(|t| t.counters.get(lpomp_prof::Event::DeschedCycles))
             .sum();
         assert!(desched > 0, "no tenant ever waited for the machine");
-    }
-
-    #[test]
-    fn shared_lib_is_one_image_mapped_into_every_tenant() {
-        let sys = System::builder(opteron_2x2())
-            .tenants(vec![
-                TenantSpec::new("a", AppKind::Ep, Class::S, 1),
-                TenantSpec::new("b", AppKind::Ep, Class::S, 1),
-                TenantSpec::new("c", AppKind::Ep, Class::S, 1),
-            ])
-            .shared_lib(64 * 1024)
-            .build_tenants()
-            .unwrap();
-        let seg = sys.shared_lib().expect("lib configured");
-        assert_eq!(seg.map_count(), 3, "one image, one mapping per tenant");
-        let report = sys.run();
-        assert!(report.tenants.iter().all(|t| t.verified));
     }
 }

@@ -15,13 +15,13 @@
 //!   Unknown geometries fall back to the fully-associative LRU
 //!   approximation — hit iff line reuse distance `d < C` effective
 //!   lines, capacity divided among co-resident sharers. DRAM-bound
-//!   misses charge [`CostModel::dram_cycles`](crate::cost::CostModel::dram_cycles) by access mode — the same
+//!   misses charge `CostModel::dram_cycles` by access mode — the same
 //!   table the cycle engine's `cache_access` reads.
 //! * **TLBs** — the same query at page granularity, using the policy's
 //!   mapping size (4 KB or 2 MB) against [`TlbConfig`](lpomp_tlb::TlbConfig) reach: L1 hit if
 //!   `d < e1`, L2 hit if `d < e1 + e2` (4 KB only where the preset has a
 //!   unified L2 TLB), else a full miss charging
-//!   [`CostModel::walk_cached_cycles`](crate::cost::CostModel::walk_cached_cycles). A set-associative L2 TLB (the
+//!   `CostModel::walk_cached_cycles`. A set-associative L2 TLB (the
 //!   Opteron's 4-way array) additionally misses any access whose per-set
 //!   distance reaches its ways, via the matching conflict shape.
 //!   Streamed walks under 4 KB pages add the cold-PTE-line fraction (one
@@ -36,7 +36,7 @@
 //!   accesses in a page's first two lines)`: the cycle engine restarts
 //!   only when a TLB miss lands at a page boundary mid-stream.
 //! * **SMT** — co-resident threads scale their whole charge by
-//!   [`CostModel::smt_scale`](crate::cost::CostModel::smt_scale) and, on flush-on-stall parts, add one
+//!   `CostModel::smt_scale` and, on flush-on-stall parts, add one
 //!   flush per stalling DRAM access, exactly like `maybe_smt_flush`.
 //! * **NUMA** — a per-thread remote fraction from the placement policy
 //!   (all-remote off node 0 for `MasterNode`, `(n-1)/n` for interleave,

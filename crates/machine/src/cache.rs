@@ -16,9 +16,9 @@
 use lpomp_prof::lru::{LruSets, Mru};
 
 /// Cache line size in bytes on both evaluation platforms.
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 /// log2 of [`LINE_BYTES`].
-pub const LINE_SHIFT: u32 = 6;
+pub(crate) const LINE_SHIFT: u32 = 6;
 
 /// Geometry of one cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -74,7 +74,7 @@ impl MachineConfig {
     }
 
     /// Number of L2 cache instances.
-    pub fn l2_instances(&self) -> usize {
+    pub(crate) fn l2_instances(&self) -> usize {
         match self.l2_scope {
             L2Scope::PerCore => self.cores(),
             L2Scope::PerChip => self.chips,
@@ -82,7 +82,7 @@ impl MachineConfig {
     }
 
     /// L2 instance serving a core.
-    pub fn l2_of_core(&self, core: usize) -> usize {
+    pub(crate) fn l2_of_core(&self, core: usize) -> usize {
         match self.l2_scope {
             L2Scope::PerCore => core,
             L2Scope::PerChip => core / self.cores_per_chip,

@@ -189,13 +189,13 @@ impl CostModel {
 
     /// Scale a cycle charge for a thread co-resident with another SMT
     /// context on its core.
-    pub fn smt_scale(&self, cycles: u64) -> u64 {
+    pub(crate) fn smt_scale(&self, cycles: u64) -> u64 {
         cycles * self.smt_share_num / self.smt_share_den
     }
 
     /// DRAM access latency by access mode — the one charging table both
     /// the cycle engine's cache hierarchy and the analytic backend read.
-    pub fn dram_cycles(&self, mode: crate::machine::AccessMode) -> u64 {
+    pub(crate) fn dram_cycles(&self, mode: crate::machine::AccessMode) -> u64 {
         match mode {
             crate::machine::AccessMode::Latency => self.dram,
             crate::machine::AccessMode::Pipelined => self.dram_pipelined,
@@ -206,7 +206,7 @@ impl CostModel {
     /// Cycles of a DTLB/ITLB miss whose walk finds every upper level in
     /// the page-walk cache and the leaf PTE in the L2 — the common case
     /// both backends charge.
-    pub fn walk_cached_cycles(&self) -> u64 {
+    pub(crate) fn walk_cached_cycles(&self) -> u64 {
         self.walk_base + self.l2_hit
     }
 

@@ -31,7 +31,7 @@ pub mod numa;
 pub mod sched;
 
 pub use analytic::{evaluate, AnalyticPoint, AnalyticResult};
-pub use cache::{Cache, CacheConfig, LINE_BYTES};
+pub use cache::{Cache, CacheConfig};
 pub use capture::{CaptureCtx, CaptureState};
 pub use config::{
     arm64_2x2_16k, arm64_2x2_4k, modern_x86_2x2, opteron_2x2, xeon_2x2_ht, L2Scope, MachineConfig,

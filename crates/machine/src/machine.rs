@@ -220,7 +220,7 @@ impl Machine {
     /// Scale a cycle charge for SMT resource sharing: threads co-resident
     /// on one core each run slower than a lone thread.
     #[inline]
-    pub fn smt_charge_scale(&self, core: usize, cycles: u64) -> u64 {
+    pub(crate) fn smt_charge_scale(&self, core: usize, cycles: u64) -> u64 {
         if self.residency[core] > 1 {
             self.cfg.cost.smt_scale(cycles)
         } else {
@@ -273,12 +273,6 @@ impl Machine {
             }
             AsidMode::FlushOnSwitch => self.flush_all_tlbs(),
         }
-    }
-
-    /// ASID of the tenant currently holding the machine.
-    #[inline]
-    pub fn current_asid(&self) -> u16 {
-        self.current_asid
     }
 
     /// Element-wise sums of all per-core (data, instruction) TLB stats —

@@ -103,7 +103,7 @@ pub trait Kernel: Send {
 /// a solution field (golden-ratio low-discrepancy sequence scaled to
 /// [0, 0.5)). Used by the structured-grid kernels so repeated runs start
 /// from identical state without touching the NPB RNG stream.
-pub fn init_field(e: usize) -> f64 {
+pub(crate) fn init_field(e: usize) -> f64 {
     let x = (e as f64) * 0.618_033_988_749_894;
     (x - x.floor()) * 0.5
 }

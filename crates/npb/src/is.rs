@@ -182,7 +182,8 @@ impl Is {
 
     /// Full verification: ranks must be monotonically non-decreasing and
     /// end at n (a valid prefix-sum of a complete count).
-    pub fn ranks_are_valid(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn ranks_are_valid(&self) -> bool {
         let p = self.prm;
         let ranks = self.ranks.as_ref().unwrap();
         let mut prev = 0u64;

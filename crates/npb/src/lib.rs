@@ -37,9 +37,7 @@ pub mod rng;
 pub mod skew;
 pub mod sp;
 
-pub use common::{
-    init_field, run_native, verify_close, AppKind, Class, CodeProfile, Footprint, Kernel,
-};
-pub use profile_cache::{ProfileCache, ProfileKey};
+pub use common::{run_native, verify_close, AppKind, Class, CodeProfile, Footprint, Kernel};
+pub use profile_cache::ProfileCache;
 pub use rng::Nprng;
 pub use skew::Skew;

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cache key.
-pub type ProfileKey = (AppKind, Class, usize);
+pub(crate) type ProfileKey = (AppKind, Class, usize);
 
 /// A key's profile, filled once by whichever caller captures it.
 type Cell = Arc<OnceLock<Arc<StreamProfile>>>;

@@ -18,7 +18,7 @@ const MASK46: u64 = M46 - 1;
 /// The NPB multiplier a = 5^13.
 pub const A: u64 = 1_220_703_125;
 /// The canonical NPB seed.
-pub const SEED: u64 = 314_159_265;
+pub(crate) const SEED: u64 = 314_159_265;
 
 /// 46-bit modular multiply (exact, via u128).
 #[inline]
@@ -65,7 +65,7 @@ impl Nprng {
     /// Next integer uniform in `[0, n)` (used by `makea`-style column
     /// placement).
     #[inline]
-    pub fn next_index(&mut self, n: usize) -> usize {
+    pub(crate) fn next_index(&mut self, n: usize) -> usize {
         (self.next_f64() * n as f64) as usize % n.max(1)
     }
 

@@ -242,7 +242,7 @@ impl Counters {
     /// Counters are monotone within a run (they only ever `add`/`bump`;
     /// resets replace the whole bank), so a negative delta means the
     /// baseline is not actually earlier — debug-asserted.
-    pub fn diff(&self, baseline: &Counters) -> Counters {
+    pub(crate) fn diff(&self, baseline: &Counters) -> Counters {
         let mut d = Counters::new();
         for i in 0..Event::COUNT {
             debug_assert!(
@@ -255,19 +255,6 @@ impl Counters {
             d.vals[i] = self.vals[i].wrapping_sub(baseline.vals[i]);
         }
         d
-    }
-
-    /// Add `n` to an event, returning `false` (and leaving the counter
-    /// unchanged) on overflow instead of panicking or wrapping.
-    #[inline]
-    pub fn checked_add(&mut self, e: Event, n: u64) -> bool {
-        match self.vals[e as usize].checked_add(n) {
-            Some(v) => {
-                self.vals[e as usize] = v;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Iterate `(event, count)` pairs with nonzero counts.
@@ -382,16 +369,6 @@ mod tests {
         let mut rebuilt = base.clone();
         rebuilt.merge(&d);
         assert_eq!(rebuilt, now);
-    }
-
-    #[test]
-    fn checked_add_saturates_on_overflow() {
-        let mut c = Counters::new();
-        assert!(c.checked_add(Event::Loads, u64::MAX - 1));
-        assert!(!c.checked_add(Event::Loads, 2), "overflow must be refused");
-        assert_eq!(c.get(Event::Loads), u64::MAX - 1, "refused add is a no-op");
-        assert!(c.checked_add(Event::Loads, 1));
-        assert_eq!(c.get(Event::Loads), u64::MAX);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! keyed accessors on [`Json`] every decoder reads through.
 //!
 //! Every JSON document the workspace writes goes through [`JsonWriter`]:
-//! stream profiles, Chrome traces, the sweep store's records, envelopes,
-//! manifests and JSON lines, and `BENCH_sweep.json`. Separators, key
-//! quoting and string escaping therefore live here only. Integers are
+//! stream profiles, Chrome traces, and the sweep store's records,
+//! envelopes, manifests and JSON lines. Separators, key quoting and
+//! string escaping therefore live here only. Integers are
 //! written exactly, never through `f64`; floats use Rust's
 //! shortest-round-trip `Display`, which [`parse_json`] reads back
 //! bit-exactly — the property the sweep store's byte-identical merge
@@ -212,7 +212,7 @@ impl Json {
     }
 
     /// Member `key` as an array of exactly `len` elements.
-    pub fn array_of(&self, key: &str, len: usize) -> Result<&[Json], String> {
+    pub(crate) fn array_of(&self, key: &str, len: usize) -> Result<&[Json], String> {
         let items = self.array(key)?;
         if items.len() != len {
             return Err(format!(

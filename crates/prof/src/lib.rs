@@ -46,8 +46,7 @@ pub mod trace;
 
 pub use counters::{Counters, Event, Profile, ThreadSheet};
 pub use json::{parse_json, Json, JsonWriter};
-pub use region::{ProfileSheet, ProfileSpec, RegionId, RegionProfiler, ROOT_REGION};
-pub use report::{imbalance, normalized, rate_per_second, NormalizedSeries};
+pub use region::{ProfileSheet, ProfileSpec, RegionId, RegionProfiler};
+pub use report::{imbalance, normalized, NormalizedSeries};
 pub use reuse::{PhaseAggregator, ReuseHistogram, ReuseTracker, StreamProfile, ThreadRecorder};
 pub use table::TextTable;
-pub use trace::TraceRecorder;

@@ -4,7 +4,7 @@
 //! [`LruSets`] keeps all keys of a `sets × ways` structure in one
 //! allocation: set `s` is the MRU-first row of `ways` keys from
 //! `s * ways`, whose first `lens[s]` are live, and a key's set is its low
-//! bits. [`move_to_front`] reorders a row without allocating: it shifts
+//! bits. `move_to_front` reorders a row without allocating: it shifts
 //! the keys ahead of the accessed one back a slot while it scans, so a
 //! reuse at depth `d` costs `d` steps and an MRU hit writes nothing.
 //! That suits the caches' and the set-associative TLB arrays' rows of 2
@@ -18,7 +18,7 @@
 //! each cost O(1), and an empty array answers a miss from its length
 //! alone. Both bodies evict the same victim, the least recently used key.
 
-/// Outcome of [`move_to_front`] and [`LruSets::access`].
+/// Outcome of `move_to_front` and [`LruSets::access`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mru {
     /// The key was live at this depth (0 = MRU) and now leads its list.
@@ -32,7 +32,7 @@ pub enum Mru {
 /// capacity is `list.len()`, inserting it when absent. On a miss the
 /// caller grows `len` by one unless the list was full.
 #[inline]
-pub fn move_to_front(list: &mut [u64], len: usize, key: u64) -> Mru {
+pub(crate) fn move_to_front(list: &mut [u64], len: usize, key: u64) -> Mru {
     if len > 0 && list[0] == key {
         return Mru::Hit(0);
     }
@@ -124,7 +124,7 @@ impl<const WAYS: usize> LruSets<WAYS> {
     }
 
     /// Move `key`, found at depth `pos` by [`find`](LruSets::find), to
-    /// the front of its set. Unlike [`move_to_front`] it shifts without a
+    /// the front of its set. Unlike `move_to_front` it shifts without a
     /// per-step compare, which cost the benchmark's `cycle-2m` 8%.
     #[inline]
     pub fn promote(&mut self, key: u64, pos: usize) {

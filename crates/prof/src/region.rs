@@ -57,7 +57,7 @@ impl ProfileSpec {
 pub type RegionId = usize;
 
 /// Name of the implicit root region (id 0).
-pub const ROOT_REGION: &str = "(root)";
+pub(crate) const ROOT_REGION: &str = "(root)";
 
 /// The live attribution state the simulated engine drives.
 ///

@@ -1,20 +1,9 @@
-//! Rate and normalization arithmetic for the paper's figures.
+//! Normalization arithmetic for the paper's figures.
 //!
-//! Fig. 3 reports *aggregate ITLB misses per second of application run
-//! time*; Fig. 5 reports DTLB misses *normalized to the 4 KB-page run* of
-//! each application. Both are small, easy-to-get-wrong divisions, so they
-//! live here with tests.
-
-/// Events per second of run time, given a cycle count and clock frequency.
-///
-/// The paper's example: ~0.45 ITLB misses/second at 2.0 GHz.
-pub fn rate_per_second(events: u64, cycles: u64, hz: f64) -> f64 {
-    if cycles == 0 {
-        return 0.0;
-    }
-    let seconds = cycles as f64 / hz;
-    events as f64 / seconds
-}
+//! Fig. 5 reports DTLB misses *normalized to the 4 KB-page run* of each
+//! application, and Fig. 4's improvements are percentages of the 4 KB
+//! run time. Both are small, easy-to-get-wrong divisions, so they live
+//! here with tests.
 
 /// A (baseline, variant) pair normalized to the baseline, as in Fig. 5
 /// where every application's 4 KB bar is 1.0.
@@ -100,18 +89,6 @@ pub fn speedup(time_1: f64, time_n: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rate_matches_paper_example() {
-        // 0.9 misses over 2 seconds at 2 GHz = 0.45 misses/second.
-        let r = rate_per_second(9, 4_000_000_000 * 10 / 10, 2.0e9);
-        assert!((r - 4.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_zero_cycles_is_zero() {
-        assert_eq!(rate_per_second(100, 0, 2.0e9), 0.0);
-    }
 
     #[test]
     fn normalization_basics() {

@@ -5,7 +5,7 @@
 //! thread on a host thread of its own, no cycle engine underneath)
 //! records, per logical thread, the LRU stack distance of every data
 //! access at 64 B cache-line granularity and at every page granularity in
-//! [`PAGE_SHIFTS`] — the union of all supported translation
+//! `PAGE_SHIFTS` — the union of all supported translation
 //! architectures' ladders — plus the instruction-fetch page stream. A
 //! [`ThreadRecorder`] shares no state with another thread's. Distances
 //! are binned into sparse sub-logarithmic histograms and aggregated per
@@ -47,31 +47,31 @@ pub const MODES: usize = 3;
 /// 4 KB, 16 KB, 64 KB, 2 MB, 32 MB and 1 GB. One captured profile can
 /// therefore be evaluated under any architecture's page policy; the
 /// analytic backend selects the entry matching the mapping size by shift.
-pub const PAGE_SHIFTS: [u8; NUM_SHIFTS] = [12, 14, 16, 21, 25, 30];
+pub(crate) const PAGE_SHIFTS: [u8; NUM_SHIFTS] = [12, 14, 16, 21, 25, 30];
 /// Number of page-granularity capture shifts.
-pub const NUM_SHIFTS: usize = 6;
+pub(crate) const NUM_SHIFTS: usize = 6;
 
 /// Index into [`PAGE_SHIFTS`] for a page shift, if captured.
-pub fn shift_index(shift: u32) -> Option<usize> {
+pub(crate) fn shift_index(shift: u32) -> Option<usize> {
     PAGE_SHIFTS.iter().position(|&s| u32::from(s) == shift)
 }
 
 /// Instruction-fetch capture granularities: code maps at the base granule
 /// of the translation architecture, so the fetch stream is captured at
 /// every supported base-granule shift (4 KB and 16 KB).
-pub const CODE_SHIFTS: [u8; NUM_CODE_SHIFTS] = [12, 14];
+pub(crate) const CODE_SHIFTS: [u8; NUM_CODE_SHIFTS] = [12, 14];
 /// Number of code-granularity capture shifts.
-pub const NUM_CODE_SHIFTS: usize = 2;
+pub(crate) const NUM_CODE_SHIFTS: usize = 2;
 
 /// Index into [`CODE_SHIFTS`] for a base-granule shift, if captured.
-pub fn code_shift_index(shift: u32) -> Option<usize> {
+pub(crate) fn code_shift_index(shift: u32) -> Option<usize> {
     CODE_SHIFTS.iter().position(|&s| u32::from(s) == shift)
 }
 
 /// Number of histogram buckets. Distances below 16 get exact buckets;
 /// above, 8 sub-buckets per power of two — enough to resolve capacities
 /// up to ~2^33 distinct keys with <12.5% bucket width.
-pub const NUM_BUCKETS: usize = 256;
+pub(crate) const NUM_BUCKETS: usize = 256;
 
 const SMALL: u64 = 16;
 
@@ -96,7 +96,7 @@ pub struct ConflictShape {
     pub sets: u32,
     /// Native associativity of the structure this shape mirrors (only
     /// informational here; queries may probe any way count up to
-    /// [`CONFLICT_DEPTH`]).
+    /// `CONFLICT_DEPTH`).
     pub ways: u32,
 }
 
@@ -135,7 +135,7 @@ pub const CONFLICT_SHAPES: &[ConflictShape] = &[
 
 /// Per-set LRU depth tracked exactly; deeper reuse lands in the `far`
 /// bin, which misses at every realistic associativity (≤ 16 ways).
-pub const CONFLICT_DEPTH: usize = 32;
+pub(crate) const CONFLICT_DEPTH: usize = 32;
 
 /// Index into [`CONFLICT_SHAPES`] for a geometry, if captured.
 pub fn conflict_shape_index(granularity: u8, sets: u32, ways: u32) -> Option<usize> {
@@ -149,7 +149,7 @@ pub fn conflict_shape_index(granularity: u8, sets: u32, ways: u32) -> Option<usi
 /// distance ≥ `w`, plus all of `far`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConflictHist {
-    /// Cold accesses and reuses deeper than [`CONFLICT_DEPTH`].
+    /// Cold accesses and reuses deeper than `CONFLICT_DEPTH`.
     pub far: u64,
     /// `(per-set distance, count)` pairs, distance < depth, sorted.
     pub d: Vec<(u32, u64)>,
@@ -224,7 +224,7 @@ impl DenseConflict {
 
 /// Histogram bucket index for a reuse distance.
 #[inline]
-pub fn bucket_of(d: u64) -> usize {
+pub(crate) fn bucket_of(d: u64) -> usize {
     if d < SMALL {
         d as usize
     } else {
@@ -236,7 +236,7 @@ pub fn bucket_of(d: u64) -> usize {
 
 /// Inclusive `(lo, hi)` distance range a bucket covers.
 #[inline]
-pub fn bucket_bounds(idx: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
     if idx < 16 {
         (idx as u64, idx as u64)
     } else {
@@ -779,16 +779,16 @@ pub struct PhaseThread {
     /// Instruction fetches issued by the code walker.
     pub ifetches: u64,
     /// Streamed accesses in the first two lines of a page at each
-    /// [`PAGE_SHIFTS`] granularity (prefetch-restart candidates under a
+    /// `PAGE_SHIFTS` granularity (prefetch-restart candidates under a
     /// mapping of that size).
     pub stream_pages: [u64; NUM_SHIFTS],
     /// Per-mode reuse-distance histograms at 64 B line granularity.
     pub line: [ReuseHistogram; MODES],
-    /// Per-mode histograms at each [`PAGE_SHIFTS`] page granularity
-    /// (same order, always [`NUM_SHIFTS`] entries).
+    /// Per-mode histograms at each `PAGE_SHIFTS` page granularity
+    /// (same order, always `NUM_SHIFTS` entries).
     pub pages: Vec<[ReuseHistogram; MODES]>,
-    /// Instruction-fetch histograms at each [`CODE_SHIFTS`] granularity
-    /// (same order, always [`NUM_CODE_SHIFTS`] entries).
+    /// Instruction-fetch histograms at each `CODE_SHIFTS` granularity
+    /// (same order, always `NUM_CODE_SHIFTS` entries).
     pub code: Vec<ReuseHistogram>,
     /// Per-mode set-conflict histograms, one entry per
     /// [`CONFLICT_SHAPES`] geometry (same order).

@@ -1,7 +1,7 @@
 //! Timeline export in the Chrome `trace_event` JSON format.
 //!
-//! The [`TraceRecorder`] stores duration slices (`"B"`/`"E"`) and
-//! instants (`"i"`) per thread; [`TraceRecorder::to_json`] renders the
+//! The `TraceRecorder` stores duration slices (`"B"`/`"E"`) and
+//! instants (`"i"`) per thread; `TraceRecorder::to_json` renders the
 //! stable subset of the format that `chrome://tracing` and Perfetto
 //! accept: one named track per simulated thread, timestamps in
 //! microseconds. The simulator's unit of time is the cycle, so the
@@ -17,7 +17,7 @@ use crate::json::JsonWriter;
 
 /// Event kind, mirroring the `ph` field of the trace format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TracePhase {
+pub(crate) enum TracePhase {
     /// Duration begin (`"B"`).
     Begin,
     /// Duration end (`"E"`).
@@ -28,7 +28,7 @@ pub enum TracePhase {
 
 /// One recorded timeline event.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Slice or instant name.
     pub name: String,
     /// Begin / end / instant.
@@ -42,7 +42,7 @@ pub struct TraceEvent {
 /// An append-only timeline. The engine records; [`Self::to_json`]
 /// renders.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceRecorder {
+pub(crate) struct TraceRecorder {
     events: Vec<TraceEvent>,
 }
 
@@ -77,7 +77,8 @@ impl TraceRecorder {
     }
 
     /// The recorded events, in record order.
-    pub fn events(&self) -> &[TraceEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 

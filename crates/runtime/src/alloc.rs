@@ -12,10 +12,10 @@ use crate::shared::{ShVec, Word, ELEM_BYTES};
 use lpomp_vm::VirtAddr;
 
 /// Alignment applied to every allocation (one cache line).
-pub const ALLOC_ALIGN: u64 = 64;
+pub(crate) const ALLOC_ALIGN: u64 = 64;
 /// Allocations of at least a page are page-aligned, as Omni's shared-region
 /// allocator does (the region itself is page-granular).
-pub const PAGE_ALIGN: u64 = 4096;
+pub(crate) const PAGE_ALIGN: u64 = 4096;
 
 #[inline]
 fn align_for(bytes: u64) -> u64 {
@@ -96,7 +96,8 @@ impl BumpAllocator {
     }
 
     /// Bytes handed out so far (including alignment padding).
-    pub fn used_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.next
     }
 
@@ -106,7 +107,7 @@ impl BumpAllocator {
     /// When the region is exhausted — shared-region sizing is a startup
     /// decision, so running out is a configuration bug, not a runtime
     /// condition to recover from.
-    pub fn alloc_bytes(&mut self, bytes: u64) -> VirtAddr {
+    pub(crate) fn alloc_bytes(&mut self, bytes: u64) -> VirtAddr {
         let align = align_for(bytes);
         if let Some(sm) = &mut self.small {
             if bytes < sm.threshold {
@@ -131,7 +132,8 @@ impl BumpAllocator {
     }
 
     /// Bytes handed out from the secondary (small) region.
-    pub fn small_used_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn small_used_bytes(&self) -> u64 {
         self.small.as_ref().map_or(0, |s| s.next)
     }
 

@@ -25,14 +25,11 @@ pub mod shared;
 pub mod team;
 pub mod tenancy;
 
-pub use alloc::{BumpAllocator, ALLOC_ALIGN};
+pub use alloc::BumpAllocator;
 pub use barrier::{NativeBarrier, SenseBarrier, TreeBarrier};
 pub use critical::{Critical, OmpLock};
 pub use mailbox::{allreduce_sum, Mailbox, MailboxError, MAX_MSG_BYTES, SLOTS_PER_CHANNEL};
 pub use schedule::{plan, Plan, Schedule};
-pub use shared::{ShVec, Word, ELEM_BYTES};
-pub use team::{
-    Body, ReduceBody, Reduction, SimEngine, SliceGrant, SliceYield, StealPolicy, Team,
-    DEFAULT_QUANTUM,
-};
+pub use shared::{ShVec, Word};
+pub use team::{Body, ReduceBody, Reduction, SimEngine, StealPolicy, Team, DEFAULT_QUANTUM};
 pub use tenancy::{run_tenants, ScheduleStats, TenantOutcome, TenantTask};

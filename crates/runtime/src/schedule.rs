@@ -50,7 +50,8 @@ pub enum Plan {
 
 impl Plan {
     /// Total iterations covered by the plan.
-    pub fn total_iterations(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_iterations(&self) -> usize {
         match self {
             Plan::Fixed(per) | Plan::Hier(per) => per.iter().flatten().map(|r| r.len()).sum(),
             Plan::Queue(q) => q.iter().map(|r| r.len()).sum(),

@@ -74,7 +74,7 @@ impl Word for usize {
 }
 
 /// Bytes per element (all [`Word`] encodings are 8 bytes).
-pub const ELEM_BYTES: u64 = 8;
+pub(crate) const ELEM_BYTES: u64 = 8;
 
 /// A shared array living at a known simulated virtual address.
 pub struct ShVec<T> {
@@ -114,12 +114,13 @@ impl<T: Word> ShVec<T> {
     }
 
     /// Simulated virtual base address.
-    pub fn vbase(&self) -> VirtAddr {
+    #[cfg(test)]
+    pub(crate) fn vbase(&self) -> VirtAddr {
         self.vbase
     }
 
     /// Size of the simulated image in bytes.
-    pub fn byte_len(&self) -> u64 {
+    pub(crate) fn byte_len(&self) -> u64 {
         self.cells.len() as u64 * ELEM_BYTES
     }
 

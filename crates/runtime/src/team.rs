@@ -34,7 +34,7 @@ use std::sync::mpsc::{Receiver, SyncSender};
 /// tenant coordinator and exactly one engine at a time, so there is
 /// never a moment where two tenants could race on hardware state — the
 /// rendezvous is the synchronization.
-pub struct SliceGrant {
+pub(crate) struct SliceGrant {
     /// The real machine (TLBs, caches, the one shared frame pool).
     pub machine: Machine,
     /// The global scheduler clock when the slice was granted. Tenant
@@ -50,7 +50,7 @@ pub struct SliceGrant {
 }
 
 /// The machine handed back to the coordinator when a slice ends.
-pub struct SliceYield {
+pub(crate) struct SliceYield {
     /// The machine, returned by value.
     pub machine: Machine,
     /// True when the tenant's kernel has run to completion.
@@ -105,7 +105,7 @@ impl Reduction {
     }
 
     /// Combine two partial values.
-    pub fn combine(self, a: f64, b: f64) -> f64 {
+    pub(crate) fn combine(self, a: f64, b: f64) -> f64 {
         match self {
             Reduction::Sum => a + b,
             Reduction::Max => a.max(b),
@@ -232,7 +232,8 @@ impl SimEngine {
     }
 
     /// The installed schedule override, if any.
-    pub fn schedule_override(&self) -> Option<Schedule> {
+    #[cfg(test)]
+    pub(crate) fn schedule_override(&self) -> Option<Schedule> {
         self.sched_override
     }
 
@@ -251,7 +252,7 @@ impl SimEngine {
     /// first makes sure a [`SliceGrant`] holding the real machine has
     /// arrived, yielding it back when the slice expires. Without a link
     /// attached none of the slice machinery runs.
-    pub fn attach_slice_link(
+    pub(crate) fn attach_slice_link(
         &mut self,
         grants: Receiver<SliceGrant>,
         yields: SyncSender<SliceYield>,
@@ -359,7 +360,7 @@ impl SimEngine {
     /// Called by the tenant thread after its kernel returns; the
     /// coordinator drops the tenant from the rotation. No-op without a
     /// slice link.
-    pub fn finish_slice(&mut self) {
+    pub(crate) fn finish_slice(&mut self) {
         if self.slice.is_none() {
             return;
         }

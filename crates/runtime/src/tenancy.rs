@@ -5,7 +5,7 @@
 //! tables, clocks, counters and daemons) plus the kernel it runs. The
 //! coordinator owns the one real [`Machine`] and hands it to exactly one
 //! tenant at a time for a fixed cycle timeslice, over a strict
-//! grant/yield rendezvous (see [`crate::team::SliceGrant`]): the machine
+//! grant/yield rendezvous (see `team::SliceGrant`): the machine
 //! moves *by value*, so the simulation stays fully deterministic even
 //! though each tenant runs on its own OS thread.
 //!

@@ -41,23 +41,6 @@ pub struct ArrayStats {
     pub flushes: u64,
 }
 
-impl ArrayStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio in [0, 1]; 0 when no lookups occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
-}
-
 /// Resident VPNs in true-LRU order, in the body the geometry picks.
 #[derive(Debug)]
 enum Entries {
@@ -165,10 +148,9 @@ impl TlbArray {
     /// True when `vpn` is the most-recently-used entry of its set — i.e.
     /// a [`lookup`] of it would hit *and* its move-to-front would be a
     /// no-op. The condition under which a hit may be recorded via
-    /// [`record_hit_bypass`] without changing any future eviction.
+    /// `record_hit_bypass` without changing any future eviction.
     ///
     /// [`lookup`]: TlbArray::lookup
-    /// [`record_hit_bypass`]: TlbArray::record_hit_bypass
     pub fn is_mru(&self, vpn: u64) -> bool {
         match &self.entries {
             Entries::Full(e) => e.is_mru(vpn),
@@ -185,7 +167,7 @@ impl TlbArray {
     ///
     /// [`is_mru`]: TlbArray::is_mru
     #[inline]
-    pub fn record_hit_bypass(&mut self) {
+    pub(crate) fn record_hit_bypass(&mut self) {
         self.stats.hits += 1;
     }
 
@@ -313,15 +295,6 @@ mod tests {
         let large = TlbArray::new(PageSize::Large2M, 32, Assoc::Full);
         assert_eq!(small.coverage_bytes(), 512 * 1024);
         assert_eq!(large.coverage_bytes(), 64 * 1024 * 1024);
-    }
-
-    #[test]
-    fn miss_ratio_computation() {
-        let mut a = TlbArray::new(PageSize::Small4K, 2, Assoc::Full);
-        a.lookup(1); // miss
-        a.fill(1);
-        a.lookup(1); // hit
-        assert!((a.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl LevelConfig {
     }
 
     /// Reach of this level for the rung at `rank` (entries × page bytes).
-    pub fn coverage_at(&self, rank: usize, size: PageSize) -> u64 {
+    pub(crate) fn coverage_at(&self, rank: usize, size: PageSize) -> u64 {
         self.entries_at(rank) as u64 * size.bytes()
     }
 }
@@ -159,18 +159,9 @@ pub struct TlbStats {
 
 impl TlbStats {
     /// All lookups.
-    pub fn lookups(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lookups(&self) -> u64 {
         self.l1_hits + self.l2_hits + self.misses
-    }
-
-    /// Full-miss ratio in [0, 1].
-    pub fn miss_ratio(&self) -> f64 {
-        let n = self.lookups();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
     }
 }
 
@@ -561,7 +552,6 @@ mod tests {
         assert_eq!(s.l1_hits, 1);
         assert_eq!(s.fills, 1);
         assert_eq!(s.lookups(), 2);
-        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

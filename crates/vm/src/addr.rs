@@ -15,15 +15,15 @@
 use core::fmt;
 
 /// Number of bits in the in-page offset of a 4 KB page.
-pub const SMALL_PAGE_SHIFT: u32 = 12;
+pub(crate) const SMALL_PAGE_SHIFT: u32 = 12;
 /// Number of bits in the in-page offset of a 2 MB page.
-pub const LARGE_PAGE_SHIFT: u32 = 21;
+pub(crate) const LARGE_PAGE_SHIFT: u32 = 21;
 /// Bytes in a 4 KB page.
-pub const SMALL_PAGE_BYTES: u64 = 1 << SMALL_PAGE_SHIFT;
+pub(crate) const SMALL_PAGE_BYTES: u64 = 1 << SMALL_PAGE_SHIFT;
 /// Bytes in a 2 MB page.
-pub const LARGE_PAGE_BYTES: u64 = 1 << LARGE_PAGE_SHIFT;
+pub(crate) const LARGE_PAGE_BYTES: u64 = 1 << LARGE_PAGE_SHIFT;
 /// How many 4 KB pages fit in one 2 MB page (512).
-pub const SMALL_PER_LARGE: u64 = LARGE_PAGE_BYTES / SMALL_PAGE_BYTES;
+pub(crate) const SMALL_PER_LARGE: u64 = LARGE_PAGE_BYTES / SMALL_PAGE_BYTES;
 
 /// A page size supported by the simulated MMU: any power of two from 4 KB
 /// up, carried as its log2. Ordering and equality follow the size.
@@ -55,7 +55,7 @@ impl PageSize {
     /// The page size `2^shift` bytes. `shift` must be at least 12 (the
     /// machine-wide base frame) and below 48 (the virtual address width).
     #[inline]
-    pub const fn from_shift(shift: u32) -> PageSize {
+    pub(crate) const fn from_shift(shift: u32) -> PageSize {
         assert!(shift >= SMALL_PAGE_SHIFT && shift < 48, "bad page shift");
         PageSize { shift: shift as u8 }
     }
@@ -74,7 +74,7 @@ impl PageSize {
 
     /// Mask that extracts the in-page offset.
     #[inline]
-    pub const fn offset_mask(self) -> u64 {
+    pub(crate) const fn offset_mask(self) -> u64 {
         self.bytes() - 1
     }
 
@@ -169,19 +169,13 @@ impl VirtAddr {
     /// x86-64 long mode: 9 bits per level above the 12-bit page offset.
     /// Other walk shapes index through
     /// [`crate::arch::WalkShape::pt_index`].
-    #[inline]
-    pub const fn pt_index(self, level: u8) -> usize {
+    #[cfg(test)]
+    pub(crate) const fn pt_index(self, level: u8) -> usize {
         ((self.0 >> (SMALL_PAGE_SHIFT + 9 * level as u32)) & 0x1ff) as usize
     }
 }
 
 impl PhysAddr {
-    /// Physical frame number for a given page size.
-    #[inline]
-    pub const fn pfn(self, size: PageSize) -> u64 {
-        self.0 >> size.shift()
-    }
-
     /// Address `bytes` further along.
     #[inline]
     pub const fn add(self, bytes: u64) -> PhysAddr {
@@ -303,7 +297,6 @@ mod tests {
     #[test]
     fn phys_frame_math() {
         let p = PhysAddr(0x40_2345);
-        assert_eq!(p.pfn(PageSize::Small4K), 0x402);
         assert_eq!(p.frame_base(PageSize::Large2M), PhysAddr(0x40_0000));
         assert_eq!(p.add(0x10).0, 0x40_2355);
     }

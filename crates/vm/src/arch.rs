@@ -42,20 +42,20 @@ pub struct WalkShape {
 impl WalkShape {
     /// Entries in one table node.
     #[inline]
-    pub const fn entries_per_table(&self) -> usize {
+    pub(crate) const fn entries_per_table(&self) -> usize {
         1 << self.index_bits
     }
 
     /// Bytes occupied by one table node (8-byte entries).
     #[inline]
-    pub const fn table_bytes(&self) -> u64 {
+    pub(crate) const fn table_bytes(&self) -> u64 {
         (self.entries_per_table() as u64) * 8
     }
 
     /// Buddy order of the frame backing one table node. A 9-bit level is
     /// one 4 KB frame (order 0); an 11-bit level needs 16 KB (order 2).
     #[inline]
-    pub const fn table_order(&self) -> u8 {
+    pub(crate) const fn table_order(&self) -> u8 {
         let b = self.table_bytes();
         let shift = b.trailing_zeros();
         if shift <= SMALL_PAGE_SHIFT {
@@ -67,15 +67,15 @@ impl WalkShape {
 
     /// Index into table level `level` for `va` (0 = leaf level).
     #[inline]
-    pub const fn pt_index(&self, va: VirtAddr, level: u8) -> usize {
+    pub(crate) const fn pt_index(&self, va: VirtAddr, level: u8) -> usize {
         let shift = self.base_shift + self.index_bits * level as u32;
         ((va.0 >> shift) & ((1u64 << self.index_bits) - 1)) as usize
     }
 
     /// Shift of a leaf entry at `level` — the bytes one PTE at that level
     /// maps (before any contiguous-bit replication).
-    #[inline]
-    pub const fn level_shift(&self, level: u8) -> u32 {
+    #[cfg(test)]
+    pub(crate) const fn level_shift(&self, level: u8) -> u32 {
         self.base_shift + self.index_bits * level as u32
     }
 }

@@ -11,7 +11,7 @@
 //!   are *movable* pages (order-0 frames mapped 4 KB-small in an anonymous
 //!   region — private data that can be copied without anyone noticing);
 //! * the **free scanner** supplies migration targets from the *high* end
-//!   of memory ([`BuddyAllocator::alloc_topdown`]), so vacated low blocks
+//!   of memory (`BuddyAllocator::alloc_topdown`), so vacated low blocks
 //!   coalesce instead of being immediately reused as targets.
 //!
 //! Unmovable frames — page-table nodes, shared-segment frames, anything

@@ -17,7 +17,7 @@
 //! `MAX_ORDER` blocks, the moral equivalent of Linux's boot-time
 //! `alloc_contig_range` path, so a gigantic block exists only while memory
 //! is unfragmented. [`BuddyAllocator::free`] takes every order;
-//! [`BuddyAllocator::alloc_topdown`] is the compaction scanner's own
+//! `BuddyAllocator::alloc_topdown` is the compaction scanner's own
 //! top-down search.
 
 use crate::addr::{PhysAddr, SMALL_PAGE_SHIFT};
@@ -123,12 +123,14 @@ impl BuddyAllocator {
     }
 
     /// Number of free blocks at exactly the given order.
-    pub fn free_blocks_at(&self, order: u8) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_blocks_at(&self, order: u8) -> usize {
         self.free[order as usize].len()
     }
 
     /// Largest order with at least one free block, if any.
-    pub fn largest_free_order(&self) -> Option<u8> {
+    #[cfg(test)]
+    pub(crate) fn largest_free_order(&self) -> Option<u8> {
         (0..=MAX_ORDER)
             .rev()
             .find(|&o| !self.free[o as usize].is_empty())
@@ -160,7 +162,8 @@ impl BuddyAllocator {
     }
 
     /// Bytes currently free on one node.
-    pub fn free_bytes_on(&self, node: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn free_bytes_on(&self, node: usize) -> u64 {
         assert!(node < self.nodes);
         let (lo, hi) = self.node_pfn_range(node);
         let mut frames = 0u64;
@@ -275,7 +278,7 @@ impl BuddyAllocator {
     /// compaction free scanner's allocation path: migration targets are
     /// drawn from the opposite end of memory from the low-address blocks
     /// being vacated, so the two scanners converge instead of thrashing.
-    pub fn alloc_topdown(&mut self, order: u8) -> VmResult<PhysAddr> {
+    pub(crate) fn alloc_topdown(&mut self, order: u8) -> VmResult<PhysAddr> {
         assert!(order <= MAX_ORDER, "order {order} exceeds MAX_ORDER");
         if self.injected_failure(order) {
             return Err(VmError::OutOfMemory { order });
@@ -311,7 +314,7 @@ impl BuddyAllocator {
     /// the bookkeeping granularity. This is how a 2 MB page is *demoted*:
     /// the backing block stays where it is, but each 4 KB piece becomes
     /// independently freeable (and migratable) afterwards.
-    pub fn split_allocated(&mut self, addr: PhysAddr, order: u8) {
+    pub(crate) fn split_allocated(&mut self, addr: PhysAddr, order: u8) {
         assert!(order <= MAX_ORDER);
         let pfn = addr.0 >> SMALL_PAGE_SHIFT;
         match self.take_live(pfn) {
@@ -329,7 +332,7 @@ impl BuddyAllocator {
     /// cannot be reasoned about in isolation). `span` must be a power of
     /// two and `base_pfn` aligned to it — the shape of a compaction
     /// candidate.
-    pub fn allocated_blocks_in(&self, base_pfn: u64, span: u64) -> Option<Vec<(u64, u8)>> {
+    pub(crate) fn allocated_blocks_in(&self, base_pfn: u64, span: u64) -> Option<Vec<(u64, u8)>> {
         debug_assert!(span.is_power_of_two() && base_pfn.is_multiple_of(span));
         let end = base_pfn + span;
         let mut out = Vec::new();
@@ -381,7 +384,8 @@ impl BuddyAllocator {
     /// Fault injection for adversarial tests: the next `count` allocations
     /// (by any entry) requesting order ≥ `min_order` fail with
     /// [`VmError::OutOfMemory`].
-    pub fn inject_alloc_failures(&mut self, count: u64, min_order: u8) {
+    #[cfg(test)]
+    pub(crate) fn inject_alloc_failures(&mut self, count: u64, min_order: u8) {
         self.inject_count = count;
         self.inject_min_order = min_order;
     }

@@ -63,7 +63,8 @@ impl SharedSegment {
 
     /// Number of VMAs (across all address spaces) currently mapping this
     /// segment. Zero for a created-but-unmapped file.
-    pub fn map_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn map_count(&self) -> usize {
         self.map_count.load(Ordering::Relaxed)
     }
 
@@ -102,8 +103,9 @@ pub struct HugePool {
     page_size: PageSize,
     free: Vec<PhysAddr>,
     /// Per-node free buckets, populated only by
-    /// [`reserve_per_node`](Self::reserve_per_node) — the analogue of a
-    /// per-node `nr_hugepages` sysctl. Empty for classic reservations.
+    /// [`reserve_per_node_sized`](Self::reserve_per_node_sized) — the
+    /// analogue of a per-node `nr_hugepages` sysctl. Empty for classic
+    /// reservations.
     node_free: Vec<Vec<PhysAddr>>,
     /// Home node of every frame reserved per-node, for re-bucketing on
     /// unlink. Lookup-only, so unordered iteration never matters.
@@ -151,22 +153,16 @@ impl HugePool {
         })
     }
 
-    /// Reserve `per_node[n]` 2 MB pages on each NUMA node `n`, mirroring
-    /// Linux's per-node `nr_hugepages` reservation. Each page must come
-    /// from its requested node's frame range — a fallback to another node
-    /// is treated as exhaustion and rolls the whole reservation back.
-    /// Files are then cut from the per-node buckets with
-    /// [`create_file_on`](Self::create_file_on).
-    pub fn reserve_per_node(frames: &mut BuddyAllocator, per_node: &[u64]) -> VmResult<Self> {
-        Self::reserve_per_node_sized(frames, per_node, PageSize::Large2M)
-    }
-
-    /// [`reserve_per_node`](Self::reserve_per_node) for any rung size,
-    /// including gigantic sizes above the buddy `MAX_ORDER` — those carve
-    /// aligned runs *inside* each node's frame range (see
-    /// [`BuddyAllocator::alloc_on_node`]), so a per-node gigantic
-    /// reservation succeeds only while every named node still holds a
-    /// fully free aligned run.
+    /// Reserve `per_node[n]` pages of `size` on each NUMA node `n`,
+    /// mirroring Linux's per-node `nr_hugepages` reservation. Each page
+    /// must come from its requested node's frame range — a fallback to
+    /// another node is treated as exhaustion and rolls the whole
+    /// reservation back. Files are then cut from the per-node buckets
+    /// with [`create_file_on`](Self::create_file_on). Gigantic sizes
+    /// above the buddy `MAX_ORDER` carve aligned runs *inside* each
+    /// node's frame range (see [`BuddyAllocator::alloc_on_node`]), so a
+    /// per-node gigantic reservation succeeds only while every named node
+    /// still holds a fully free aligned run.
     pub fn reserve_per_node_sized(
         frames: &mut BuddyAllocator,
         per_node: &[u64],
@@ -225,7 +221,8 @@ impl HugePool {
     }
 
     /// Pages still available on one node of a per-node reservation.
-    pub fn available_on(&self, node: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn available_on(&self, node: usize) -> u64 {
         self.node_free.get(node).map_or(0, |b| b.len() as u64)
     }
 
@@ -309,7 +306,8 @@ impl HugePool {
     }
 
     /// Look up an existing file by name (a second "process" opening it).
-    pub fn open_file(&self, name: &str) -> VmResult<Arc<SharedSegment>> {
+    #[cfg(test)]
+    pub(crate) fn open_file(&self, name: &str) -> VmResult<Arc<SharedSegment>> {
         self.files
             .get(name)
             .cloned()
@@ -339,7 +337,8 @@ impl HugePool {
     }
 
     /// Release the pool's unused pages back to the buddy allocator.
-    pub fn shrink_to_fit(&mut self, frames: &mut BuddyAllocator) {
+    #[cfg(test)]
+    pub(crate) fn shrink_to_fit(&mut self, frames: &mut BuddyAllocator) {
         let order = self.page_size.buddy_order();
         for pa in self.free.drain(..) {
             frames.free(pa, order);
@@ -442,7 +441,8 @@ impl ShmFs {
     }
 
     /// Look up an existing file.
-    pub fn open_file(&self, name: &str) -> VmResult<Arc<SharedSegment>> {
+    #[cfg(test)]
+    pub(crate) fn open_file(&self, name: &str) -> VmResult<Arc<SharedSegment>> {
         self.files
             .get(name)
             .cloned()
@@ -574,7 +574,8 @@ mod tests {
     #[test]
     fn per_node_reservation_places_pages() {
         let mut f = BuddyAllocator::with_nodes(64 * 1024 * 1024, 2);
-        let mut pool = HugePool::reserve_per_node(&mut f, &[4, 4]).unwrap();
+        let mut pool =
+            HugePool::reserve_per_node_sized(&mut f, &[4, 4], PageSize::Large2M).unwrap();
         assert_eq!(pool.available(), 8);
         assert_eq!(pool.available_on(0), 4);
         assert_eq!(pool.available_on(1), 4);
@@ -603,7 +604,8 @@ mod tests {
     fn per_node_unlink_rebuckets_and_shrink_returns_all() {
         let mut f = BuddyAllocator::with_nodes(64 * 1024 * 1024, 2);
         let before = f.free_bytes();
-        let mut pool = HugePool::reserve_per_node(&mut f, &[2, 2]).unwrap();
+        let mut pool =
+            HugePool::reserve_per_node_sized(&mut f, &[2, 2], PageSize::Large2M).unwrap();
         let seg = pool
             .create_file_on("heap", 2 * PageSize::Large2M.bytes(), |i| (i % 2) as usize)
             .unwrap();
@@ -657,7 +659,7 @@ mod tests {
         // node 1 must fail without leaking the partial reservation.
         let mut f = BuddyAllocator::with_nodes(8 * 1024 * 1024, 2);
         let before = f.free_bytes();
-        assert!(HugePool::reserve_per_node(&mut f, &[1, 3]).is_err());
+        assert!(HugePool::reserve_per_node_sized(&mut f, &[1, 3], PageSize::Large2M).is_err());
         assert_eq!(f.free_bytes(), before);
     }
 

@@ -46,8 +46,7 @@ pub use frame::BuddyAllocator;
 pub use hugetlbfs::{HugePool, SharedSegment, ShmFs};
 pub use khugepaged::{DaemonCosts, Khugepaged, KhugepagedConfig, ScanOutcome};
 pub use migrate::{
-    migrate_page_to_node, HintSamples, MigrateOutcome, NumaDaemon, NumaDaemonConfig,
-    NumaScanOutcome, MAX_CORES, MAX_NUMA_NODES,
+    HintSamples, NumaDaemon, NumaDaemonConfig, NumaScanOutcome, MAX_CORES, MAX_NUMA_NODES,
 };
 pub use page_table::{AccessKind, PageTable, PteFlags, Translation, WalkTrace};
 pub use promote::{promote_region, PromotionReport};

@@ -5,7 +5,7 @@
 //! becomes mechanical once pages physically live on nodes and can be
 //! *moved*. This module supplies both halves:
 //!
-//! * [`migrate_page_to_node`] relocates one mapped anonymous page onto a
+//! * `migrate_page_to_node` relocates one mapped anonymous page onto a
 //!   chosen node: allocate on the target node, remap the VA to the new
 //!   frame with the same protection, free the old frame. It is the same
 //!   unmap/map/free machinery [`mod@crate::compact`] uses to defragment,
@@ -41,7 +41,7 @@ pub const MAX_NUMA_NODES: usize = 8;
 
 /// Result of one [`migrate_page_to_node`] attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MigrateOutcome {
+pub(crate) enum MigrateOutcome {
     /// The page moved; the caller owes a TLB shootdown.
     Moved {
         /// Old frame base.
@@ -63,7 +63,7 @@ pub enum MigrateOutcome {
 
 /// Move the mapped page containing `va` onto `node`. See
 /// [`MigrateOutcome`] for the ways this can (benignly) not happen.
-pub fn migrate_page_to_node(
+pub(crate) fn migrate_page_to_node(
     aspace: &mut AddressSpace,
     frames: &mut BuddyAllocator,
     va: VirtAddr,

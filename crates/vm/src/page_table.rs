@@ -28,11 +28,9 @@ use crate::error::{VmError, VmResult};
 use crate::frame::BuddyAllocator;
 
 /// Bytes of one page-table entry.
-pub const PTE_BYTES: u64 = 8;
-/// Radix levels of the x86-64 long-mode walk (PML4, PDPT, PD, PT).
-pub const LEVELS: u8 = 4;
+pub(crate) const PTE_BYTES: u64 = 8;
 /// Most levels any supported [`WalkShape`] declares (sizes [`WalkTrace`]).
-pub const MAX_WALK_LEVELS: usize = 4;
+pub(crate) const MAX_WALK_LEVELS: usize = 4;
 
 /// Protection and status bits of a mapping, modelled after x86 PTE flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -62,7 +60,8 @@ impl PteFlags {
     }
 
     /// Read-only data mapping.
-    pub const fn ro() -> Self {
+    #[cfg(test)]
+    pub(crate) const fn ro() -> Self {
         PteFlags {
             present: true,
             writable: false,
@@ -206,12 +205,14 @@ pub struct PageTableStats {
 
 impl PageTableStats {
     /// Live base-page (rank 0) mappings — 4 KB on x86-64.
-    pub fn small_mappings(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn small_mappings(&self) -> u64 {
         self.mappings[0]
     }
 
     /// Live mappings above the base rank (all block/huge sizes combined).
-    pub fn large_mappings(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn large_mappings(&self) -> u64 {
         self.mappings[1..].iter().sum()
     }
 }
@@ -260,7 +261,8 @@ impl PageTable {
     /// Memory consumed by table nodes themselves, in bytes. Block
     /// mappings need dramatically fewer nodes — one of the secondary
     /// benefits of large pages.
-    pub fn table_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn table_bytes(&self) -> u64 {
         self.stats.nodes * self.shape.table_bytes().max(crate::addr::SMALL_PAGE_BYTES)
     }
 
@@ -352,7 +354,7 @@ impl PageTable {
     /// translation. A contiguous block's replicated entries are all
     /// removed. Empty intermediate nodes are *not* eagerly reclaimed
     /// (as in Linux, where PGD/PMD frames persist until exit).
-    pub fn unmap(&mut self, va: VirtAddr, size: PageSize) -> VmResult<Translation> {
+    pub(crate) fn unmap(&mut self, va: VirtAddr, size: PageSize) -> VmResult<Translation> {
         let rung = self.rung_of(size)?;
         let rank = self.arch.rank_of(size).expect("rung_of checked");
         let mut node = &mut self.root;
@@ -381,10 +383,13 @@ impl PageTable {
         Ok(out.expect("first replica checked to be a leaf"))
     }
 
-    /// Update the flags of an existing leaf mapping (mprotect path).
-    /// Returns the page size of the mapping. All replicated entries of a
-    /// contiguous block are updated together.
-    pub fn protect(&mut self, va: VirtAddr, new_flags: PteFlags) -> VmResult<PageSize> {
+    /// Update the flags of an existing leaf mapping. Returns the page size
+    /// of the mapping. All replicated entries of a contiguous block are
+    /// updated together. Nothing in the simulator changes a mapping's
+    /// protection (the paper disables SCASH's trap mechanism), so only
+    /// tests use this, to build chunks of mixed protection.
+    #[cfg(test)]
+    pub(crate) fn protect(&mut self, va: VirtAddr, new_flags: PteFlags) -> VmResult<PageSize> {
         let arch = self.arch;
         let mut node = &mut self.root;
         let mut level = self.shape.levels - 1;
@@ -491,6 +496,9 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Radix levels of the x86-64 long-mode walk (PML4, PDPT, PD, PT).
+    const LEVELS: u8 = 4;
 
     fn fixture() -> (BuddyAllocator, PageTable) {
         let mut frames = BuddyAllocator::new(64 * 1024 * 1024);

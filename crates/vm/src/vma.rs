@@ -353,7 +353,7 @@ impl AddressSpace {
 
     /// Populate every not-yet-mapped page of the region containing `start`.
     /// Returns the number of pages populated.
-    pub fn populate_region(
+    pub(crate) fn populate_region(
         &mut self,
         frames: &mut BuddyAllocator,
         start: VirtAddr,
@@ -488,36 +488,6 @@ impl AddressSpace {
             );
         }
         out
-    }
-
-    /// Change the protection of the region containing `start` (mprotect).
-    /// Updates the VMA and every installed mapping; the caller must shoot
-    /// down stale TLB entries afterwards (real TLBs cache permissions).
-    /// This is the mechanism SCASH's eager-release-consistency protocol
-    /// uses to trap remote-page accesses — which the paper *disables* for
-    /// intra-node runs (§3.3 "Memory Protection"); it is provided here for
-    /// completeness of the substrate.
-    pub fn mprotect(&mut self, start: VirtAddr, new_flags: PteFlags) -> VmResult<u64> {
-        let idx = self.find_vma_idx(start).ok_or(VmError::NotMapped(start))?;
-        self.vmas[idx].flags = new_flags;
-        let (vstart, len, vsize) = {
-            let v = &self.vmas[idx];
-            (v.start, v.len, v.page_size)
-        };
-        let mut changed = 0;
-        let mut off = 0;
-        while off < len {
-            let va = vstart.add(off);
-            match self.pt.probe(va) {
-                Some(t) => {
-                    self.pt.protect(va, new_flags)?;
-                    changed += 1;
-                    off += t.size.bytes();
-                }
-                None => off += vsize.bytes(),
-            }
-        }
-        Ok(changed)
     }
 
     /// Remove the region containing `start`, unmapping all its pages and
@@ -776,58 +746,6 @@ mod tests {
             "overlap",
         );
         assert!(matches!(e, Err(VmError::AlreadyMapped(_))));
-    }
-
-    #[test]
-    fn mprotect_changes_enforcement() {
-        let mut f = frames();
-        let mut asp = AddressSpace::new(&mut f).unwrap();
-        let base = asp
-            .mmap(
-                &mut f,
-                2 * 4096,
-                PageSize::Small4K,
-                PteFlags::rw(),
-                Backing::Anonymous,
-                Populate::Eager,
-                "data",
-            )
-            .unwrap();
-        asp.access(&mut f, base, AccessKind::Write).unwrap();
-        let changed = asp.mprotect(base, PteFlags::ro()).unwrap();
-        assert_eq!(changed, 2);
-        assert_eq!(
-            asp.access(&mut f, base, AccessKind::Write),
-            Err(VmError::ProtectionViolation(base))
-        );
-        assert!(asp.access(&mut f, base, AccessKind::Read).is_ok());
-        // And back.
-        asp.mprotect(base, PteFlags::rw()).unwrap();
-        assert!(asp.access(&mut f, base, AccessKind::Write).is_ok());
-    }
-
-    #[test]
-    fn mprotect_applies_to_later_faults_too() {
-        let mut f = frames();
-        let mut asp = AddressSpace::new(&mut f).unwrap();
-        let base = asp
-            .mmap(
-                &mut f,
-                2 * 4096,
-                PageSize::Small4K,
-                PteFlags::rw(),
-                Backing::Anonymous,
-                Populate::OnDemand,
-                "lazy",
-            )
-            .unwrap();
-        asp.mprotect(base, PteFlags::ro()).unwrap();
-        // Page 1 was never populated; its demand fault must install the
-        // *new* protection.
-        assert_eq!(
-            asp.access(&mut f, base.add(4096), AccessKind::Write),
-            Err(VmError::ProtectionViolation(base.add(4096)))
-        );
     }
 
     #[test]

@@ -126,8 +126,7 @@ fn smoke_analytic_grid_is_fast() {
     let cycle_host = t0.elapsed();
 
     // Captures amortize across the sweep; time them separately so the
-    // budget below measures steady-state evaluation, as BENCH_sweep.json
-    // does.
+    // budget below measures steady-state evaluation.
     let t1 = Instant::now();
     for &threads in &spec.threads {
         for &app in &spec.apps {
