@@ -2,15 +2,15 @@
 //!
 //! The paper's primary contribution, assembled from the substrate crates:
 //! a fork-join runtime whose **entire shared data region is preallocated
-//! from a boot-reserved pool of 2 MB pages** (the modified Omni/SCASH of
+//! in 2 MB pages taken at startup** (the modified Omni/SCASH of
 //! Noronha & Panda, IPDPS 2007, §3.3), together with the experiment
 //! harness that reproduces the paper's evaluation.
 //!
 //! * [`policy`] — [`PagePolicy`] (4 KB / 2 MB / mixed) and the
 //!   preallocation-vs-demand choice;
 //! * [`system`] — [`System::builder`]: one fluent front door to the code
-//!   segment, hugetlbfs pool, shared map file, mailbox file, region
-//!   allocator, daemons, NUMA, profiling and the simulated team;
+//!   segment, hugetlbfs shared map file, mailbox file, region allocator,
+//!   daemons, NUMA, profiling and the simulated team;
 //! * [`experiment`] — [`run_sim`] / [`run_system`]: one call per figure
 //!   bar, returning run time plus the full counter sheet (and, when the
 //!   builder enables profiling, the per-region attribution and trace).

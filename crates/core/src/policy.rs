@@ -3,8 +3,8 @@
 //! The paper's argument: general-purpose OSes allocate large pages
 //! on demand with reservation heuristics (Navarro et al.), but an OpenMP
 //! job usually owns its node for the whole run, so the runtime can simply
-//! **preallocate** all shared data from a boot-reserved hugetlbfs pool at
-//! startup — simpler, lower latency, and immune to fragmentation.
+//! **preallocate** all shared data in a hugetlbfs file whose large pages it
+//! takes at startup — simpler, lower latency, and immune to fragmentation.
 //! [`PagePolicy`] selects what backs the shared heap; [`PopulatePolicy`]
 //! selects when pages are installed (eager startup population is the
 //! paper's choice; demand faulting is kept for the ablation A1).
@@ -61,7 +61,8 @@ impl PagePolicy {
             .size
     }
 
-    /// Whether a hugetlbfs pool must be reserved.
+    /// Whether the primary heap's pages lie above the base granule, so a
+    /// shared heap is a hugetlbfs file (and its pages count as reserved).
     pub(crate) fn needs_huge_pool(self) -> bool {
         self.rank() > 0
     }

@@ -6,9 +6,9 @@
 //! 2. map the application **code segment** (Table 2 binary size, 4 KB
 //!    pages — §4.3 shows ITLB misses are negligible so code stays small-
 //!    paged);
-//! 3. reserve the **hugetlbfs pool** at "boot" and create the shared map
-//!    file the node's processes share (for the 2 MB policy), or an
-//!    ordinary small-page shared file (4 KB baseline);
+//! 3. create the shared map file the node's processes share, taking all
+//!    its pages at "boot": **hugetlbfs** large pages for the 2 MB policy,
+//!    base-granule pages for the 4 KB baseline;
 //! 4. map the shared heap, **prefaulting** it per the paper's
 //!    preallocation argument (or demand-faulting for the ablation);
 //! 5. map the 4 KB-paged **mailbox file** for the intra-node message
@@ -24,8 +24,8 @@ use lpomp_runtime::{
     run_tenants, BumpAllocator, Schedule, SimEngine, StealPolicy, Team, TenantTask, DEFAULT_QUANTUM,
 };
 use lpomp_vm::{
-    promote_region, AddressSpace, Arch, Backing, HugePool, KhugepagedConfig, MMArch, NodePolicy,
-    NumaDaemonConfig, PageSize, PromotionReport, PteFlags, ShmFs, VirtAddr, VmResult,
+    promote_region, AddressSpace, Arch, Backing, KhugepagedConfig, MMArch, NodePolicy,
+    NumaDaemonConfig, PageSize, PromotionReport, PteFlags, SharedSegment, VirtAddr, VmResult,
 };
 
 /// Fixed base of the code segment (conventional ELF text base).
@@ -337,7 +337,9 @@ impl SystemBuilder {
 /// Statistics of system bring-up (the quantities ablation A1 compares).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SetupStats {
-    /// 2 MB pages reserved in the pool.
+    /// Heap pages taken at bring-up when the heap's page size lies above
+    /// the base granule (any rung: 2 MB, 1 GB, ...); 0 for a base-granule
+    /// or anonymous heap.
     pub huge_pages_reserved: u64,
     /// Pages prefaulted at startup (any size).
     pub pages_prepopulated: u64,
@@ -431,9 +433,12 @@ impl System {
         if let Some((nodes, policy)) = numa {
             aspace.set_node_policy(nodes, policy);
         }
-        // Node of page `i` of a `page`-sized shared file; `None` without NUMA.
-        let node_of = |page: PageSize, i: u64| {
-            numa.map(|(nodes, policy)| policy.node_at(nodes, i * page.bytes(), page, None))
+        // Node of each page of a `page`-sized shared file, by page index;
+        // `None` without NUMA.
+        let node_of = |page: PageSize| {
+            move |i: u64| {
+                numa.map(|(nodes, policy)| policy.node_at(nodes, i * page.bytes(), page, None))
+            }
         };
 
         // (3)+(4) Shared heap.
@@ -456,41 +461,25 @@ impl System {
         // master thread touches everything first, the classic OpenMP
         // pitfall, so first-touch results use OnDemand); and for the THP
         // scenario's base-granule heap, because the kernel never collapses
-        // file-backed pages. Otherwise a hugetlbfs pool file above the
-        // base granule, or an shm file at it.
+        // file-backed pages. Otherwise a shared file of the heap's page
+        // size (a hugetlbfs file above the base granule), all its frames
+        // taken now, before anything ages memory.
         let anonymous = matches!(numa, Some((_, NodePolicy::FirstTouch)))
             || (cfg.private_heap && !cfg.policy.needs_huge_pool());
-        let mut shm = ShmFs::with_granule(base);
         let heap_backing = if anonymous {
             Backing::Anonymous
-        } else if cfg.policy.needs_huge_pool() {
-            let pages = heap_page.pages_for(heap_len);
-            let mut pool = match numa {
-                // Static per-node reservation mirrors Linux's per-node
-                // `nr_hugepages`, for *every* pooled rung: mirror each
-                // page's node in per-node reservations (gigantic rungs
-                // carve aligned runs inside each node's frame range), then
-                // deal pages out accordingly.
-                Some((nodes, _)) => {
-                    let mut per_node = vec![0u64; nodes];
-                    for n in (0..pages).filter_map(|i| node_of(heap_page, i)) {
-                        per_node[n] += 1;
-                    }
-                    HugePool::reserve_per_node_sized(&mut machine.frames, &per_node, heap_page)?
-                }
-                None => HugePool::reserve_sized(&mut machine.frames, pages, heap_page)?,
-            };
-            setup.huge_pages_reserved = pages;
-            Backing::Shared(pool.create_file_on("omni-shared-heap", heap_len, |i| {
-                node_of(heap_page, i).unwrap_or(0)
-            })?)
         } else {
-            Backing::Shared(shm.create_file_placed(
+            let seg = SharedSegment::alloc(
                 &mut machine.frames,
                 "omni-shared-heap",
                 heap_len,
-                |i| node_of(base, i),
-            )?)
+                heap_page,
+                node_of(heap_page),
+            )?;
+            if cfg.policy.needs_huge_pool() {
+                setup.huge_pages_reserved = seg.page_count();
+            }
+            Backing::Shared(seg)
         };
         let heap_name = if anonymous {
             "private-heap"
@@ -513,11 +502,12 @@ impl System {
             let backing = if anonymous {
                 Backing::Anonymous
             } else {
-                Backing::Shared(shm.create_file_placed(
+                Backing::Shared(SharedSegment::alloc(
                     &mut machine.frames,
                     "omni-small-heap",
                     MIXED_SMALL_REGION,
-                    |i| node_of(base, i),
+                    base,
+                    node_of(base),
                 )?)
             };
             Some(aspace.mmap(
@@ -535,7 +525,10 @@ impl System {
 
         // (5) Mailbox file: always base-granule pages (paper §3.3: the
         // message-passing mailboxes stay in 4 KB pages).
-        let mb_seg = shm.create_file(&mut machine.frames, "mailbox", MAILBOX_BYTES)?;
+        let mb_seg =
+            SharedSegment::alloc(&mut machine.frames, "mailbox", MAILBOX_BYTES, base, |_| {
+                None
+            })?;
         aspace.mmap(
             &mut machine.frames,
             MAILBOX_BYTES,
@@ -913,9 +906,9 @@ mod tests {
 
     #[test]
     fn numa_gigantic_heap_reserves_per_node_and_verifies() {
-        // The generalized per-node arm: a NUMA machine with a 1 GB heap
-        // rung reserves its pool per node instead of falling back to the
-        // single-pool path.
+        // A NUMA machine with a 1 GB heap rung takes each heap page on
+        // the node the placement names: gigantic runs carved inside each
+        // node's frame range.
         use lpomp_machine::{modern_x86_2x2, NumaConfig, NumaPlacement};
         let mut kernel = AppKind::Cg.build(Class::S);
         let mut sys = System::builder(modern_x86_2x2())
@@ -1075,14 +1068,14 @@ mod tests {
         }
         assert_eq!(case, PINS.len());
 
-        // A class-S heap is one pool page, so the order in which a
-        // multi-page pool file deals out its frames shows only in a larger
+        // A class-S heap is one 2 MB page, so the order in which a
+        // multi-page heap file takes its frames shows only in a larger
         // heap: CG class W with 2 MB pages, prefaulted and not run.
         const W_PINS: [(u64, u64, u64, u64, u64); 4] = [
             (0x7d7c1bba3e07f927, 9, 863, 18874368, 0xebfa94524d07b3de), // None 2MB
             (0x3afc348413d5508d, 9, 4959, 18874368, 0x5fe60948a929ac5b), // None mixed
-            (0x7d7c1bba3e07f927, 9, 863, 18874368, 0xa5cf6a3a1dca3dc5), // Some(Interleave2M) 2MB
-            (0x3afc348413d5508d, 9, 4959, 18874368, 0xaed1be1c4c84ce3e), // Some(Interleave2M) mixed
+            (0x7d7c1bba3e07f927, 9, 863, 18874368, 0x2514bc07fac83ac5), // Some(Interleave2M) 2MB
+            (0x3afc348413d5508d, 9, 4959, 18874368, 0xc712845ca382cb3e), // Some(Interleave2M) mixed
         ];
         let mut case = 0;
         for placement in [None, Some(NumaPlacement::Interleave2M)] {

@@ -11,13 +11,6 @@ pub enum VmError {
         /// Buddy order that could not be satisfied.
         order: u8,
     },
-    /// The hugetlbfs-style pool has no free large pages left.
-    HugePoolExhausted {
-        /// Pages requested.
-        requested: u64,
-        /// Pages remaining in the pool.
-        available: u64,
-    },
     /// Attempt to map over an existing mapping.
     AlreadyMapped(VirtAddr),
     /// Translation of an unmapped address was attempted.
@@ -41,12 +34,6 @@ pub enum VmError {
     /// The page size is not a rung of the active translation
     /// architecture's ladder.
     UnsupportedPageSize(PageSize),
-    /// Named shared file does not exist.
-    NoSuchFile(String),
-    /// Named shared file already exists.
-    FileExists(String),
-    /// Named shared file is still held and cannot be unlinked.
-    FileBusy(String),
     /// Requested range lies outside the file/region.
     OutOfRange {
         /// Offset requested.
@@ -64,13 +51,6 @@ impl fmt::Display for VmError {
             VmError::OutOfMemory { order } => {
                 write!(f, "out of physical memory at buddy order {order}")
             }
-            VmError::HugePoolExhausted {
-                requested,
-                available,
-            } => write!(
-                f,
-                "huge page pool exhausted: requested {requested}, available {available}"
-            ),
             VmError::AlreadyMapped(a) => write!(f, "address {a} already mapped"),
             VmError::NotMapped(a) => write!(f, "address {a} not mapped"),
             VmError::ProtectionViolation(a) => write!(f, "protection violation at {a}"),
@@ -83,9 +63,6 @@ impl fmt::Display for VmError {
             VmError::UnsupportedPageSize(s) => {
                 write!(f, "page size {s} is not in the architecture's ladder")
             }
-            VmError::NoSuchFile(n) => write!(f, "no shared file named {n:?}"),
-            VmError::FileExists(n) => write!(f, "shared file {n:?} already exists"),
-            VmError::FileBusy(n) => write!(f, "shared file {n:?} is still in use"),
             VmError::OutOfRange {
                 offset,
                 len,
@@ -109,13 +86,14 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = VmError::HugePoolExhausted {
-            requested: 4,
-            available: 1,
+        let e = VmError::OutOfRange {
+            offset: 4,
+            len: 1,
+            object_len: 3,
         };
         let s = e.to_string();
-        assert!(s.contains("requested 4"));
-        assert!(s.contains("available 1"));
+        assert!(s.contains("[4, 4+1)"));
+        assert!(s.contains("object of 3 bytes"));
         let e = VmError::Misaligned {
             addr: VirtAddr(0x1234),
             size: PageSize::Large2M,

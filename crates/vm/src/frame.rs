@@ -6,8 +6,9 @@
 //! order 9 is one 2 MB frame, so a large page is a naturally aligned block
 //! of 512 base frames. This is also what makes the paper's *preallocation*
 //! argument concrete: once the machine has been up for a while the buddy
-//! heap fragments and order-9 blocks become scarce, which is why the huge
-//! pool is reserved at "boot" (pool construction) in [`crate::hugetlbfs`].
+//! heap fragments and order-9 blocks become scarce, which is why the shared
+//! heap's file in [`crate::hugetlbfs`] takes all its large pages at "boot"
+//! (system bring-up).
 //!
 //! One body serves every allocation, of any order, anywhere
 //! ([`BuddyAllocator::alloc`]) or on a node first
@@ -49,7 +50,9 @@ pub struct BuddyAllocator {
     free_frames: u64,
     /// Fault injection: fail the next `inject_count` allocations of order
     /// ≥ `inject_min_order` (adversarial-fragmentation testing).
+    #[cfg(test)]
     inject_count: u64,
+    #[cfg(test)]
     inject_min_order: u8,
     /// NUMA nodes the extent is divided into (1 = UMA).
     nodes: usize,
@@ -89,7 +92,9 @@ impl BuddyAllocator {
             live: vec![0; usize::try_from(total_frames).expect("frame count fits usize")],
             total_frames,
             free_frames: 0,
+            #[cfg(test)]
             inject_count: 0,
+            #[cfg(test)]
             inject_min_order: 0,
             nodes,
             node_span,
@@ -198,6 +203,7 @@ impl BuddyAllocator {
     /// lowest span-aligned run of free `MAX_ORDER` blocks that ends inside
     /// the range.
     fn alloc_from(&mut self, order: u8, node: Option<usize>) -> VmResult<PhysAddr> {
+        #[cfg(test)]
         if self.injected_failure(order) {
             return Err(VmError::OutOfMemory { order });
         }
@@ -280,6 +286,7 @@ impl BuddyAllocator {
     /// being vacated, so the two scanners converge instead of thrashing.
     pub(crate) fn alloc_topdown(&mut self, order: u8) -> VmResult<PhysAddr> {
         assert!(order <= MAX_ORDER, "order {order} exceeds MAX_ORDER");
+        #[cfg(test)]
         if self.injected_failure(order) {
             return Err(VmError::OutOfMemory { order });
         }
@@ -390,6 +397,7 @@ impl BuddyAllocator {
         self.inject_min_order = min_order;
     }
 
+    #[cfg(test)]
     fn injected_failure(&mut self, order: u8) -> bool {
         if self.inject_count > 0 && order >= self.inject_min_order {
             self.inject_count -= 1;

@@ -14,13 +14,14 @@
 //!   mapping ends the walk one level early (the paper's Figure 2);
 //! * [`vma`] — address spaces, regions, demand faulting vs. eager
 //!   population (the §3.3 preallocation design point);
-//! * [`hugetlbfs`] — the reserved large-page pool and the shared map files
-//!   through which all processes of a node share one heap image.
+//! * [`hugetlbfs`] — the shared map files, of any rung, through which all
+//!   processes of a node share one heap image, their frames all taken when
+//!   a file is created.
 //!
 //! Higher layers (`lpomp-tlb`, `lpomp-machine`) consume the
 //! [`page_table::WalkTrace`] to charge page walks to the cache hierarchy,
 //! and `lpomp-core` implements the paper's large-page allocation policy on
-//! top of [`hugetlbfs::HugePool`].
+//! top of [`SharedSegment::alloc`].
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,7 @@ pub use compact::{compact, CompactReport};
 pub use error::{VmError, VmResult};
 pub use fragment::{age_heap, AgeReport};
 pub use frame::BuddyAllocator;
-pub use hugetlbfs::{HugePool, SharedSegment, ShmFs};
+pub use hugetlbfs::SharedSegment;
 pub use khugepaged::{DaemonCosts, Khugepaged, KhugepagedConfig, ScanOutcome};
 pub use migrate::{
     HintSamples, NumaDaemon, NumaDaemonConfig, NumaScanOutcome, MAX_CORES, MAX_NUMA_NODES,

@@ -463,8 +463,14 @@ mod tests {
         assert_eq!(t.size, PageSize::Large2M);
 
         // A shared shm segment is pinned.
-        let mut shm = crate::hugetlbfs::ShmFs::new();
-        let seg = shm.create_file(&mut frames, "mb", 4096).unwrap();
+        let seg = crate::hugetlbfs::SharedSegment::alloc(
+            &mut frames,
+            "mb",
+            4096,
+            PageSize::Small4K,
+            |_| None,
+        )
+        .unwrap();
         let shared = asp
             .mmap(
                 &mut frames,

@@ -357,8 +357,14 @@ mod tests {
     #[test]
     fn shared_regions_are_rejected() {
         let mut frames = BuddyAllocator::new(64 * 1024 * 1024);
-        let mut pool = crate::hugetlbfs::HugePool::reserve(&mut frames, 4).unwrap();
-        let seg = pool.create_file("f", PageSize::Large2M.bytes()).unwrap();
+        let seg = crate::hugetlbfs::SharedSegment::alloc(
+            &mut frames,
+            "f",
+            PageSize::Large2M.bytes(),
+            PageSize::Large2M,
+            |_| None,
+        )
+        .unwrap();
         let mut asp = AddressSpace::new(&mut frames).unwrap();
         let base = asp
             .mmap(

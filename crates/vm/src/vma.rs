@@ -311,9 +311,6 @@ impl AddressSpace {
                 });
             }
         }
-        if let Backing::Shared(seg) = &backing {
-            seg.note_mapped();
-        }
         let vma = Vma {
             start,
             len,
@@ -496,9 +493,6 @@ impl AddressSpace {
     pub fn munmap(&mut self, frames: &mut BuddyAllocator, start: VirtAddr) -> VmResult<()> {
         let idx = self.find_vma_idx(start).ok_or(VmError::NotMapped(start))?;
         let v = self.vmas.remove(idx);
-        if let Backing::Shared(seg) = &v.backing {
-            seg.note_unmapped();
-        }
         // Promotion can leave a region with mixed page sizes; probe each
         // position and unmap at the size actually installed.
         let mut off = 0;
@@ -523,7 +517,7 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hugetlbfs::HugePool;
+    use crate::hugetlbfs::SharedSegment;
 
     fn frames() -> BuddyAllocator {
         BuddyAllocator::new(256 * 1024 * 1024)
@@ -584,11 +578,14 @@ mod tests {
     #[test]
     fn shared_segment_frames_are_shared_between_spaces() {
         let mut f = frames();
-        let mut pool = HugePool::reserve(&mut f, 8).unwrap();
-        let seg = pool
-            .create_file("heap", 2 * PageSize::Large2M.bytes())
-            .unwrap();
-        assert_eq!(seg.map_count(), 0);
+        let seg = SharedSegment::alloc(
+            &mut f,
+            "heap",
+            2 * PageSize::Large2M.bytes(),
+            PageSize::Large2M,
+            |_| None,
+        )
+        .unwrap();
         let mut a = AddressSpace::new(&mut f).unwrap();
         let mut b = AddressSpace::new(&mut f).unwrap();
         let va_a = a
@@ -613,7 +610,6 @@ mod tests {
                 "shared-heap",
             )
             .unwrap();
-        assert_eq!(seg.map_count(), 2, "both spaces map the segment");
         let pa_a = a
             .access(&mut f, va_a.add(0x1234), AccessKind::Read)
             .unwrap();
@@ -644,9 +640,7 @@ mod tests {
         assert_ne!(anon_pa_a, anon_pa_b);
 
         a.munmap(&mut f, va_a).unwrap();
-        assert_eq!(seg.map_count(), 1);
         b.munmap(&mut f, va_b).unwrap();
-        assert_eq!(seg.map_count(), 0);
     }
 
     #[test]
@@ -683,8 +677,14 @@ mod tests {
     #[test]
     fn mixed_page_sizes_in_one_space() {
         let mut f = frames();
-        let mut pool = HugePool::reserve(&mut f, 4).unwrap();
-        let seg = pool.create_file("big", PageSize::Large2M.bytes()).unwrap();
+        let seg = SharedSegment::alloc(
+            &mut f,
+            "big",
+            PageSize::Large2M.bytes(),
+            PageSize::Large2M,
+            |_| None,
+        )
+        .unwrap();
         let mut asp = AddressSpace::new(&mut f).unwrap();
         let small = asp
             .mmap(

@@ -1,5 +1,5 @@
 //! Walk through the OS-level substrate by hand: buddy allocator,
-//! hugetlbfs pool, shared mappings, page tables and TLBs — the pieces
+//! hugetlbfs map file, shared mappings, page tables and TLBs — the pieces
 //! `System::build` assembles automatically.
 //!
 //! ```sh
@@ -9,7 +9,7 @@
 use lpomp::machine::{opteron_2x2, DataKind, Machine};
 use lpomp::prof::{Counters, Event};
 use lpomp::tlb::TlbOutcome;
-use lpomp::vm::{AccessKind, AddressSpace, Backing, HugePool, PageSize, Populate, PteFlags};
+use lpomp::vm::{AccessKind, AddressSpace, Backing, PageSize, Populate, PteFlags, SharedSegment};
 
 fn main() {
     let mut machine = Machine::new(opteron_2x2());
@@ -19,21 +19,19 @@ fn main() {
         machine.frames.total_bytes()
     );
 
-    // 1. Boot-time hugetlbfs reservation (the paper's §3.3 design).
-    let mut pool = HugePool::reserve(&mut machine.frames, 16).unwrap();
-    println!(
-        "reserved {} x 2MB pages; buddy free: {} MB",
-        pool.available(),
-        machine.frames.free_bytes() >> 20
-    );
-
-    // 2. A shared map file in the pool, as Omni's global heap.
-    let seg = pool
-        .create_file("omni-shared-heap", 8 * 1024 * 1024)
-        .unwrap();
+    // 1. A hugetlbfs map file as Omni's global heap, its 2 MB pages all
+    //    taken at creation — at "boot", the paper's §3.3 design.
+    let seg = SharedSegment::alloc(
+        &mut machine.frames,
+        "omni-shared-heap",
+        8 * 1024 * 1024,
+        PageSize::Large2M,
+        |_| None,
+    )
+    .unwrap();
     println!("created {:?}: {} pages", seg.name(), seg.page_count());
 
-    // 3. Two 'processes' mapping the same file share physical frames.
+    // 2. Two 'processes' mapping the same file share physical frames.
     let mut proc_a = AddressSpace::new(&mut machine.frames).unwrap();
     let mut proc_b = AddressSpace::new(&mut machine.frames).unwrap();
     let va_a = proc_a
@@ -70,13 +68,13 @@ fn main() {
         pa_a.translation().pa
     );
 
-    // 4. Page walks are one level shorter for 2MB pages.
+    // 3. Page walks are one level shorter for 2MB pages.
     println!(
         "walk length: 2MB mapping = {} levels (4KB would be 4)",
         pa_a.trace().len()
     );
 
-    // 5. Drive a page-strided scan through the machine and watch the TLB.
+    // 4. Drive a page-strided scan through the machine and watch the TLB.
     let mut counters = Counters::new();
     for off in (0..seg_len()).step_by(4096) {
         machine
@@ -96,7 +94,7 @@ fn main() {
         counters.get(Event::DtlbMisses)
     );
 
-    // 6. Inspect the core-0 DTLB directly.
+    // 5. Inspect the core-0 DTLB directly.
     let outcome = machine.dtlb(0);
     println!("core 0 DTLB stats: {:?}", outcome.stats());
     let probe = machine.dtlb(0).config().coverage_bytes(PageSize::Large2M);
